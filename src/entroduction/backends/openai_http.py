@@ -9,6 +9,7 @@ whole method depends on it.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -39,6 +40,14 @@ DEFAULT_STOP_SEQUENCES = ("\n",)
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_MAX_IN_FLIGHT = 4
+
+
+def _logprob(entry: dict) -> float:
+    """A finite logprob, with tiny positive values (rounding) clamped to 0."""
+    value = float(entry["logprob"])
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite logprob {value} for token {entry.get('token')!r}")
+    return min(0.0, value)
 
 
 class OpenAIChatBackend:
@@ -150,28 +159,30 @@ class OpenAIChatBackend:
 
     @staticmethod
     def _parse_tokens(content: list) -> tuple[TokenRecord, ...]:
+        """Token records from a logprobs payload; a missing or non-finite
+        logprob, chosen or alternative, is a BackendError."""
         records = []
-        for item in content:
-            alternatives = None
-            top = item.get("top_logprobs")
-            if top:
-                alternatives = tuple(
-                    sorted(
-                        (
-                            (str(alt["token"]), min(0.0, float(alt["logprob"])))
-                            for alt in top
-                        ),
-                        key=lambda pair: pair[1],
-                        reverse=True,
+        try:
+            for item in content:
+                alternatives = None
+                top = item.get("top_logprobs")
+                if top:
+                    alternatives = tuple(
+                        sorted(
+                            ((str(alt["token"]), _logprob(alt)) for alt in top),
+                            key=lambda pair: pair[1],
+                            reverse=True,
+                        )
+                    )
+                records.append(
+                    TokenRecord(
+                        text=str(item["token"]),
+                        chosen_logprob=_logprob(item),
+                        top_alternatives=alternatives,
                     )
                 )
-            records.append(
-                TokenRecord(
-                    text=str(item["token"]),
-                    chosen_logprob=min(0.0, float(item["logprob"])),
-                    top_alternatives=alternatives,
-                )
-            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise BackendError(f"malformed logprob entry: {exc!r}") from exc
         return tuple(records)
 
     def generate_step(self, request: GenerationRequest) -> StepGeneration:

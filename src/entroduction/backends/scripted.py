@@ -105,9 +105,6 @@ class ScriptedBackend:
     def calls_made(self) -> int:
         return self._position
 
-    def remaining(self) -> int:
-        return len(self._steps) - self._position
-
     def reset(self) -> None:
         with self._lock:
             self._position = 0

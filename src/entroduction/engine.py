@@ -13,11 +13,14 @@ previous one and the delta pair is classified and sampled epsilon-greedily:
   grace of forced steps (soft stop).
 
 A chain also finalizes as soon as a step states an answer ("the answer is
-..."), and every surviving chain finalizes when the step budget runs out.
-Chains without a detected answer are asked once more to state one so they
-can join the vote. The run conclusion is the majority vote over chain
-answers, ties broken by the most confident chain (lowest mean normalized
-step entropy).
+..."), which preempts whatever action was sampled for that step, and every
+surviving chain finalizes when the step budget runs out. Chains without a
+detected answer are asked once more to state one so they can join the vote.
+The run conclusion is the majority vote over chain answers, ties broken by
+the most confident chain (lowest mean normalized step entropy).
+
+``request_for`` and ``elicit_answer`` are the one way to build a generation
+request and to elicit a final answer, shared with the fixed-shape baselines.
 """
 
 from __future__ import annotations
@@ -61,20 +64,21 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "run_task",
+    "request_for",
+    "elicit_answer",
     "majority_vote",
     "chain_conclusions",
 ]
 
 
 class ExecutedBehavior:
-    """Executed-behavior labels for trace events (post remaps)."""
+    """Executed-behavior labels for trace events (post remaps): the value of
+    the executed Action, or forced_deepen for an unconditional step."""
 
-    DEEPEN = "deepen"
-    EXPAND = "expand"
-    STOP = "stop"
+    DEEPEN = Action.DEEPEN.value
+    EXPAND = Action.EXPAND.value
+    STOP = Action.STOP.value
     FORCED_DEEPEN = "forced_deepen"
-
-    ALL = (DEEPEN, EXPAND, STOP, FORCED_DEEPEN)
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,6 @@ class RunConfig:
     max_tokens: int = 128
     top_logprobs: int = 5
     elicit_final_answer: bool = True
-    backend_name: str = "synthetic"
-    backend_options: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -184,6 +186,31 @@ def chain_conclusions(result: RunResult) -> list[tuple[int, str, float]]:
     return out
 
 
+def request_for(config: RunConfig, task: str, prior: Sequence[str]) -> GenerationRequest:
+    """The generation request for ``task`` after the steps in ``prior``."""
+    return GenerationRequest(
+        system_prompt=config.system_prompt,
+        task=task,
+        prior_steps=tuple(prior),
+        temperature=config.temperature,
+        max_tokens=config.max_tokens,
+        top_logprobs=config.top_logprobs,
+    )
+
+
+def elicit_answer(
+    backend: Backend, config: RunConfig, task: str, prior: Sequence[str]
+) -> str:
+    """Ask once for a final answer after ``prior``: the stated answer if the
+    reply has the marker, else the whole stripped reply."""
+    prior = tuple(prior)
+    generation = backend.generate_step(
+        request_for(config, render_conclusion_prompt(task, prior), prior)
+    )
+    answer = detect_answer_marker(generation.text, config.answer_marker)
+    return answer if answer is not None else generation.text.strip()
+
+
 class _Runner:
     def __init__(self, task: str, config: RunConfig, backend: Backend):
         self.config = config
@@ -198,16 +225,6 @@ class _Runner:
         if chain_id not in self.rngs:
             self.rngs[chain_id] = chain_rng(self.config.policy.seed, chain_id)
         return self.rngs[chain_id]
-
-    def request_for(self, prior_texts: Sequence[str]) -> GenerationRequest:
-        return GenerationRequest(
-            system_prompt=self.config.system_prompt,
-            task=self.structure.task,
-            prior_steps=tuple(prior_texts),
-            temperature=self.config.temperature,
-            max_tokens=self.config.max_tokens,
-            top_logprobs=self.config.top_logprobs,
-        )
 
     def generate_node(self, chain: Chain, request: GenerationRequest) -> ReasoningNode:
         generation = self.backend.generate_step(request)
@@ -224,221 +241,97 @@ class _Runner:
         self.total_steps += 1
         return node
 
-    def emit(self, event: TraceEvent) -> None:
-        self.trace.append(event)
-
-    def marker_in(self, text: str) -> str | None:
-        return detect_answer_marker(text, self.config.answer_marker)
-
-    def advance_chain(self, chain: Chain, step_index: int) -> None:
-        """Advance one chain by one generated step within iteration ``step_index``."""
-        prior_texts = chain.node_texts()
-        request = self.request_for(prior_texts)
-        node = self.generate_node(chain, request)
-        answer = self.marker_in(node.text)
-
-        if chain.status is ChainStatus.STOP_PENDING:
-            chain.deepen(node)
-            remaining = chain.tick_stop_grace()
-            reason = None
-            if answer:
-                chain.final_answer = answer
-                chain.finalize()
-                reason = "answer_marker"
-            elif remaining == 0:
-                chain.finalize()
-                reason = "stop_grace_exhausted"
-            self.emit(
-                TraceEvent(
-                    step_index=step_index,
-                    chain_id=chain.id,
-                    node_id=node.id,
-                    metrics=node.metrics,
-                    state=None,
-                    best_action=None,
-                    sampled_action=None,
-                    executed=ExecutedBehavior.FORCED_DEEPEN,
-                    stop_pending_remaining=remaining,
-                    finalize_reason=reason,
-                )
-            )
-            return
-
-        if len(chain.nodes) < 2:
-            # No delta pair exists yet: the first two steps are unconditional.
-            chain.deepen(node)
-            reason = None
-            if answer:
-                chain.final_answer = answer
-                chain.finalize()
-                reason = "answer_marker"
-            self.emit(
-                TraceEvent(
-                    step_index=step_index,
-                    chain_id=chain.id,
-                    node_id=node.id,
-                    metrics=node.metrics,
-                    state=None,
-                    best_action=None,
-                    sampled_action=None,
-                    executed=ExecutedBehavior.FORCED_DEEPEN,
-                    finalize_reason=reason,
-                )
-            )
-            return
-
-        previous = chain.nodes[-1].metrics
-        state = PolicyState(
-            delta_entropy=node.metrics.entropy_bits - previous.entropy_bits,
-            delta_variance=node.metrics.variance_entropy - previous.variance_entropy,
-        )
-        decision = decide(state, self.config.policy, self.rng_for(chain.id))
-
+    def record(
+        self,
+        chain: Chain,
+        node: ReasoningNode,
+        step_index: int,
+        executed: str,
+        state: PolicyState | None = None,
+        decision: Decision | None = None,
+        remaining: int | None = None,
+        reason: str | None = None,
+    ) -> None:
+        """Finalize ``chain`` if ``node`` states an answer, then log the node."""
+        answer = detect_answer_marker(node.text, self.config.answer_marker)
         if answer:
-            # An answer preempts whatever was sampled: keep the step, end the chain.
-            chain.deepen(node)
             chain.final_answer = answer
             chain.finalize()
-            self.emit(
-                TraceEvent(
-                    step_index=step_index,
-                    chain_id=chain.id,
-                    node_id=node.id,
-                    metrics=node.metrics,
-                    state=state,
-                    best_action=decision.best,
-                    sampled_action=decision.sampled,
-                    executed=ExecutedBehavior.DEEPEN,
-                    finalize_reason="answer_marker",
-                )
-            )
-            return
-
-        if decision.action is Action.EXPAND:
-            self.execute_expand(chain, node, request, state, decision, step_index)
-            return
-
-        if decision.action is Action.STOP:
-            chain.deepen(node)
-            directive = apply_stop(chain, self.config.policy)
-            reason = None
-            remaining = None
-            if directive is StopDirective.TERMINATE:
-                chain.finalize()
-                reason = "stop"
-            else:
-                remaining = chain.stop_remaining
-            self.emit(
-                TraceEvent(
-                    step_index=step_index,
-                    chain_id=chain.id,
-                    node_id=node.id,
-                    metrics=node.metrics,
-                    state=state,
-                    best_action=decision.best,
-                    sampled_action=decision.sampled,
-                    executed=ExecutedBehavior.STOP,
-                    stop_pending_remaining=remaining,
-                    finalize_reason=reason,
-                )
-            )
-            return
-
-        chain.deepen(node)
-        self.emit(
+            reason = "answer_marker"
+        self.trace.append(
             TraceEvent(
                 step_index=step_index,
                 chain_id=chain.id,
                 node_id=node.id,
                 metrics=node.metrics,
                 state=state,
-                best_action=decision.best,
-                sampled_action=decision.sampled,
-                executed=ExecutedBehavior.DEEPEN,
+                best_action=None if decision is None else decision.best,
+                sampled_action=None if decision is None else decision.sampled,
+                executed=executed,
+                stop_pending_remaining=remaining,
+                finalize_reason=reason,
             )
         )
 
-    def execute_expand(
-        self,
-        chain: Chain,
-        node_a: ReasoningNode,
-        request: GenerationRequest,
-        state: PolicyState,
-        decision: Decision,
-        step_index: int,
-    ) -> None:
-        if len(self.structure.chains) >= self.structure.max_chains:
-            # Chain budget exhausted: degrade to a deepen, skip the sibling call.
-            chain.deepen(node_a)
-            self.emit(
-                TraceEvent(
-                    step_index=step_index,
-                    chain_id=chain.id,
-                    node_id=node_a.id,
-                    metrics=node_a.metrics,
-                    state=state,
-                    best_action=decision.best,
-                    sampled_action=decision.sampled,
-                    executed=ExecutedBehavior.DEEPEN,
-                )
-            )
-            return
+    def advance_chain(self, chain: Chain, step_index: int) -> None:
+        """Advance one chain by one generated step within iteration ``step_index``."""
+        request = request_for(self.config, self.structure.task, chain.node_texts())
+        node = self.generate_node(chain, request)
 
-        node_b = self.generate_node(chain, request)
-        new_id = self.structure.expand(chain, node_a, node_b)
-        self.emit(
-            TraceEvent(
-                step_index=step_index,
-                chain_id=chain.id,
-                node_id=node_a.id,
-                metrics=node_a.metrics,
-                state=state,
-                best_action=decision.best,
-                sampled_action=decision.sampled,
-                executed=ExecutedBehavior.EXPAND,
+        # Soft-stop grace steps, and the first two steps (no delta pair
+        # exists yet), are unconditional deepens.
+        action, executed = Action.DEEPEN, ExecutedBehavior.FORCED_DEEPEN
+        state = decision = None
+        if chain.status is ChainStatus.ACTIVE and len(chain.nodes) >= 2:
+            previous = chain.nodes[-1].metrics
+            state = PolicyState(
+                delta_entropy=node.metrics.entropy_bits - previous.entropy_bits,
+                delta_variance=node.metrics.variance_entropy - previous.variance_entropy,
             )
-        )
-        assert new_id is not None  # budget was checked above
-        sibling = self.structure.chains[-1]
-        answer_b = self.marker_in(node_b.text)
-        reason_b = None
-        if answer_b:
-            sibling.final_answer = answer_b
-            sibling.finalize()
-            reason_b = "answer_marker"
-        self.emit(
-            TraceEvent(
-                step_index=step_index,
-                chain_id=sibling.id,
-                node_id=node_b.id,
-                metrics=node_b.metrics,
-                state=None,
-                best_action=None,
-                sampled_action=None,
-                executed=ExecutedBehavior.EXPAND,
-                finalize_reason=reason_b,
+            decision = decide(state, self.config.policy, self.rng_for(chain.id))
+            action = decision.action
+            if detect_answer_marker(node.text, self.config.answer_marker):
+                # An answer preempts whatever was sampled: keep the step, end the chain.
+                action = Action.DEEPEN
+            elif action is Action.EXPAND and (
+                len(self.structure.chains) >= self.structure.max_chains
+            ):
+                # Chain budget exhausted: degrade to a deepen, skip the sibling call.
+                action = Action.DEEPEN
+            executed = action.value
+
+        remaining = reason = None
+        if action is Action.EXPAND:
+            sibling_node = self.generate_node(chain, request)
+            sibling_id = self.structure.expand(chain, node, sibling_node)
+            assert sibling_id is not None  # budget was checked above
+        else:
+            chain.deepen(node)
+        if chain.status is ChainStatus.STOP_PENDING:
+            remaining = chain.tick_stop_grace()
+            if remaining == 0:
+                chain.finalize()
+                reason = "stop_grace_exhausted"
+        elif action is Action.STOP:
+            if apply_stop(chain, self.config.policy) is StopDirective.TERMINATE:
+                chain.finalize()
+                reason = "stop"
+            else:
+                remaining = chain.stop_remaining
+        self.record(chain, node, step_index, executed, state, decision, remaining, reason)
+        if action is Action.EXPAND:
+            self.record(
+                self.structure.chains[-1], sibling_node, step_index, ExecutedBehavior.EXPAND
             )
-        )
 
     def elicit_conclusions(self) -> None:
         for chain in self.structure.chains:
             if chain.final_answer or not chain.nodes:
                 continue
-            request = GenerationRequest(
-                system_prompt=self.config.system_prompt,
-                task=render_conclusion_prompt(
-                    self.structure.task, tuple(chain.node_texts())
-                ),
-                prior_steps=tuple(chain.node_texts()),
-                temperature=self.config.temperature,
-                max_tokens=self.config.max_tokens,
-                top_logprobs=self.config.top_logprobs,
+            answer = elicit_answer(
+                self.backend, self.config, self.structure.task, chain.node_texts()
             )
-            generation = self.backend.generate_step(request)
             self.conclusion_calls += 1
-            answer = self.marker_in(generation.text)
-            if answer is None:
-                answer = generation.text.strip()
             chain.final_answer = answer or None
 
     def run(self) -> RunResult:

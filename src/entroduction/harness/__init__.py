@@ -10,7 +10,7 @@ from .baselines import (
     run_chain_baseline,
     run_tree_baseline,
 )
-from .benchmark import BenchmarkReport, Method, TaskRecord, run_baseline, run_benchmark
+from .benchmark import BenchmarkReport, Method, TaskRecord, run_benchmark
 from .cleansing import (
     Position,
     clean_answer,
@@ -40,7 +40,6 @@ __all__ = [
     "BenchmarkReport",
     "Method",
     "TaskRecord",
-    "run_baseline",
     "run_benchmark",
     "Position",
     "clean_answer",

@@ -5,7 +5,9 @@ a plain chain costs ``steps`` nodes, self-consistency costs ``chains *
 steps``, and a tree with ``branching`` children per node over ``layers``
 levels (root level included) costs sum(branching**k for k in range(layers))
 nodes. Final-answer elicitation calls are tracked separately from reasoning
-steps.
+steps. Requests and elicitation go through the engine's ``request_for`` and
+``elicit_answer``, so a ``RunConfig`` sets sampling, prompt and marker for
+both the adaptive method and these baselines.
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..backends.base import (
-    Backend,
-    DEFAULT_ANSWER_MARKER,
-    DEFAULT_SYSTEM_PROMPT,
-    GenerationRequest,
-    detect_answer_marker,
-    render_conclusion_prompt,
-)
+from ..backends.base import Backend, detect_answer_marker
+from ..engine import RunConfig, elicit_answer, request_for
 
 __all__ = [
     "BaselineMethod",
@@ -92,71 +88,25 @@ class BaselineOutcome:
     conclusion_calls: int
 
 
-def _request(
-    task: str,
-    prior: tuple[str, ...],
-    temperature: float,
-    max_tokens: int,
-    top_logprobs: int,
-    system_prompt: str,
-) -> GenerationRequest:
-    return GenerationRequest(
-        system_prompt=system_prompt,
-        task=task,
-        prior_steps=prior,
-        temperature=temperature,
-        max_tokens=max_tokens,
-        top_logprobs=top_logprobs,
-    )
-
-
-def _elicit_answer(
-    task: str,
-    prior: tuple[str, ...],
-    backend: Backend,
-    temperature: float,
-    max_tokens: int,
-    top_logprobs: int,
-    system_prompt: str,
-    marker: str,
-) -> str:
-    request = GenerationRequest(
-        system_prompt=system_prompt,
-        task=render_conclusion_prompt(task, prior),
-        prior_steps=prior,
-        temperature=temperature,
-        max_tokens=max_tokens,
-        top_logprobs=top_logprobs,
-    )
-    generation = backend.generate_step(request)
-    answer = detect_answer_marker(generation.text, marker)
-    return answer if answer is not None else generation.text.strip()
-
-
 def run_chain_baseline(
     task: str,
     params: BaselineParams,
     backend: Backend,
     *,
     n_chains: int | None = None,
-    temperature: float = 0.7,
-    max_tokens: int = 128,
-    top_logprobs: int = 5,
-    system_prompt: str = DEFAULT_SYSTEM_PROMPT,
-    marker: str = DEFAULT_ANSWER_MARKER,
+    config: RunConfig = RunConfig(),
 ) -> BaselineOutcome:
     """Fixed-length chains: every chain generates exactly ``params.steps``
     nodes (no early stopping, so accounting stays exact), then answers are
-    sampled ``vote_width`` times round-robin across chains."""
+    sampled ``vote_width`` times round-robin across chains. ``config``
+    supplies the sampling settings, system prompt and answer marker."""
     chains = n_chains if n_chains is not None else params.chains
     transcripts: list[tuple[str, ...]] = []
     steps_generated = 0
     for _ in range(chains):
         prior: tuple[str, ...] = ()
         for _ in range(params.steps):
-            generation = backend.generate_step(
-                _request(task, prior, temperature, max_tokens, top_logprobs, system_prompt)
-            )
+            generation = backend.generate_step(request_for(config, task, prior))
             steps_generated += 1
             prior = prior + (generation.text,)
         transcripts.append(prior)
@@ -167,18 +117,15 @@ def run_chain_baseline(
     for i in range(vote_width):
         prior = transcripts[i % len(transcripts)]
         marker_hits = [
-            m for m in (detect_answer_marker(t, marker) for t in prior) if m is not None
+            m
+            for m in (detect_answer_marker(t, config.answer_marker) for t in prior)
+            if m is not None
         ]
         if marker_hits:
             # A stated answer inside the transcript stands in for elicitation.
             answers.append(marker_hits[-1])
             continue
-        answers.append(
-            _elicit_answer(
-                task, prior, backend, temperature, max_tokens, top_logprobs,
-                system_prompt, marker,
-            )
-        )
+        answers.append(elicit_answer(backend, config, task, prior))
         conclusion_calls += 1
     return BaselineOutcome(answers, steps_generated, conclusion_calls)
 
@@ -188,20 +135,16 @@ def run_tree_baseline(
     params: BaselineParams,
     backend: Backend,
     *,
-    temperature: float = 0.7,
-    max_tokens: int = 128,
-    top_logprobs: int = 5,
-    system_prompt: str = DEFAULT_SYSTEM_PROMPT,
-    marker: str = DEFAULT_ANSWER_MARKER,
+    config: RunConfig = RunConfig(),
 ) -> BaselineOutcome:
     """Full tree expansion: one root step, then ``branching`` children per
-    node for ``layers - 1`` further levels; answers come from the leaves."""
+    node for ``layers - 1`` further levels; answers come from the leaves.
+    ``config`` supplies the sampling settings, system prompt and answer
+    marker."""
     steps_generated = 0
     frontier: list[tuple[str, ...]] = []
 
-    root = backend.generate_step(
-        _request(task, (), temperature, max_tokens, top_logprobs, system_prompt)
-    )
+    root = backend.generate_step(request_for(config, task, ()))
     steps_generated += 1
     frontier.append((root.text,))
 
@@ -209,9 +152,7 @@ def run_tree_baseline(
         next_frontier: list[tuple[str, ...]] = []
         for path in frontier:
             for _ in range(params.branching):
-                generation = backend.generate_step(
-                    _request(task, path, temperature, max_tokens, top_logprobs, system_prompt)
-                )
+                generation = backend.generate_step(request_for(config, task, path))
                 steps_generated += 1
                 next_frontier.append(path + (generation.text,))
         frontier = next_frontier
@@ -219,15 +160,10 @@ def run_tree_baseline(
     answers: list[str] = []
     conclusion_calls = 0
     for path in frontier:
-        found = detect_answer_marker(path[-1], marker)
+        found = detect_answer_marker(path[-1], config.answer_marker)
         if found is not None:
             answers.append(found)
             continue
-        answers.append(
-            _elicit_answer(
-                task, path, backend, temperature, max_tokens, top_logprobs,
-                system_prompt, marker,
-            )
-        )
+        answers.append(elicit_answer(backend, config, task, path))
         conclusion_calls += 1
     return BaselineOutcome(answers, steps_generated, conclusion_calls)

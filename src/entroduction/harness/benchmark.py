@@ -20,13 +20,7 @@ from typing import Callable, Sequence
 
 from ..backends.base import Backend, BackendError
 from ..engine import RunConfig, RunResult, chain_conclusions, majority_vote, run_task
-from .baselines import (
-    BaselineMethod,
-    BaselineOutcome,
-    BaselineParams,
-    run_chain_baseline,
-    run_tree_baseline,
-)
+from .baselines import BaselineParams, run_chain_baseline, run_tree_baseline
 from .cleansing import clean_answer
 from .datasets import TaskInstance
 
@@ -35,7 +29,6 @@ __all__ = [
     "TaskRecord",
     "BenchmarkReport",
     "run_benchmark",
-    "run_baseline",
 ]
 
 
@@ -124,7 +117,15 @@ def _run_one(
             steps = result.total_steps
             chains = len(result.structure.chains)
         else:
-            outcome = _run_baseline_outcome(task.question, method, params, backend)
+            if method is Method.TOT:
+                outcome = run_tree_baseline(
+                    task.question, params, backend, config=run_config
+                )
+            else:
+                n_chains = 1 if method is Method.COT else params.chains
+                outcome = run_chain_baseline(
+                    task.question, params, backend, n_chains=n_chains, config=run_config
+                )
             predicted = _vote_over(outcome.answers, task)
             steps = outcome.steps_generated
             chains = params.chains if method is Method.COT_SC else 1
@@ -148,15 +149,6 @@ def _run_one(
             wall_time=time.perf_counter() - started,
             error=str(exc),
         )
-
-
-def _run_baseline_outcome(
-    question: str, method: Method, params: BaselineParams, backend: Backend
-) -> BaselineOutcome:
-    if method is Method.TOT:
-        return run_tree_baseline(question, params, backend)
-    n_chains = 1 if method is Method.COT else params.chains
-    return run_chain_baseline(question, params, backend, n_chains=n_chains)
 
 
 def run_benchmark(
@@ -202,19 +194,3 @@ def run_benchmark(
         mean_steps_per_chain=(total_steps / total_chains) if total_chains else 0.0,
         records=records,
     )
-
-
-def run_baseline(
-    method: BaselineMethod,
-    params: BaselineParams,
-    tasks: Sequence[TaskInstance],
-    backend: Backend,
-    workers: int = 1,
-) -> BenchmarkReport:
-    """Benchmark one of the fixed-shape baselines with explicit parameters."""
-    mapping = {
-        BaselineMethod.COT: Method.COT,
-        BaselineMethod.COT_SC: Method.COT_SC,
-        BaselineMethod.TOT: Method.TOT,
-    }
-    return run_benchmark(mapping[method], tasks, backend, params=params, workers=workers)

@@ -32,7 +32,6 @@ from entroduction.harness import (
     math_params,
     numeric_position_for,
     read_trace,
-    run_baseline,
     run_benchmark,
     run_chain_baseline,
     run_tree_baseline,
@@ -320,12 +319,32 @@ class TestRunBenchmark:
         backend = SyntheticBackend(
             [SyntheticStep(logprobs=UNIFORM4, text="The answer is 1")]
         )
-        report = run_baseline(
-            BaselineMethod.COT, BaselineParams(steps=3, chains=1), tasks, backend
+        report = run_benchmark(
+            Method.COT, tasks, backend, params=BaselineParams(steps=3, chains=1)
         )
         assert [r.steps for r in report.records] == [3, 3]
         assert report.records[0].correct  # gold "1" matches
         assert not report.records[1].correct
+
+    @pytest.mark.parametrize("method", [Method.TOT, Method.COT_SC])
+    def test_baselines_honour_run_config(self, method):
+        requests = []
+
+        class RecordingBackend(SyntheticBackend):
+            def generate_step(self, request):
+                requests.append(request)
+                return super().generate_step(request)
+
+        backend = RecordingBackend([SyntheticStep(logprobs=UNIFORM4, text="thinking")])
+        run_benchmark(
+            method, fixture_tasks(1), backend,
+            run_config=RunConfig(temperature=0.2, max_tokens=64),
+            params=BaselineParams(steps=2, chains=2, branching=2, layers=2),
+        )
+        steps = [r for r in requests if r.task == "question 1"]
+        conclusions = [r for r in requests if r.task != "question 1"]
+        assert steps and conclusions
+        assert {(r.temperature, r.max_tokens) for r in requests} == {(0.2, 64)}
 
     def test_choice_benchmark(self):
         task = TaskInstance(

@@ -7,12 +7,15 @@ import pytest
 import oracle
 from mock_server import ChatCompletionsMock, completion_payload
 from entroduction.backends import (
+    BackendError,
     ConfigurationError,
     FinishReason,
     GenerationRequest,
     OpenAIChatBackend,
     TransportError,
 )
+from entroduction.engine import RunConfig, run_task
+from entroduction.harness import Method, TaskInstance, TaskKind, run_benchmark
 from entroduction.metrics import compute_step_metrics
 
 THREE_TOKENS = [("Add ", -0.2), ("the ", -1.6), ("numbers.", -0.7)]
@@ -77,12 +80,43 @@ class TestParsing:
             assert oracle.close(getattr(metrics, field), expected, rel=1e-9), field
 
     def test_top_logprobs_sorted_and_clamped(self):
-        tokens = [("x", -0.1, [("y", -2.0), ("x", 1e-9)])]
+        tokens = [("x", 1e-9, [("y", -2.0), ("x", 1e-9)])]
         with ChatCompletionsMock([completion_payload(tokens)]) as mock:
             backend = make_backend(mock)
             step = backend.generate_step(step_request())
+        assert step.tokens[0].chosen_logprob == 0.0
         alts = step.tokens[0].top_alternatives
         assert alts == (("x", 0.0), ("y", -2.0))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"token": "x", "logprob": float("nan")},
+            {"token": "x", "logprob": float("-inf")},
+            {"token": "x", "logprob": float("inf")},
+            {"token": "x"},
+            {"token": "x", "logprob": None},
+            {"token": "x", "logprob": "low"},
+            {"logprob": -0.1},
+            {"token": "x", "logprob": -0.1,
+             "top_logprobs": [{"token": "y", "logprob": float("nan")}]},
+            {"token": "x", "logprob": -0.1,
+             "top_logprobs": [{"token": "y", "logprob": float("-inf")}]},
+            {"token": "x", "logprob": -0.1, "top_logprobs": [{"token": "y"}]},
+        ],
+    )
+    def test_bad_logprob_rejected(self, entry):
+        with pytest.raises(BackendError):
+            OpenAIChatBackend._parse_tokens([entry])
+
+    def test_bad_logprob_ends_only_its_task(self):
+        payload = completion_payload([("x", float("nan"))])
+        task = TaskInstance("t", "q", "1", TaskKind.NUMERIC_MATH)
+        with ChatCompletionsMock([payload]) as mock:
+            backend = make_backend(mock)
+            assert run_task("q", RunConfig(), backend).aborted
+            report = run_benchmark(Method.COT, [task], backend)
+        assert report.records[0].error and not report.records[0].correct
 
     def test_finish_reasons(self):
         answer_tokens = [("The answer is 4", -0.05)]
