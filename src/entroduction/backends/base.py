@@ -9,6 +9,7 @@ backend that manufactures steps realizing a requested entropy schedule.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Protocol, runtime_checkable
@@ -97,6 +98,15 @@ class StepGeneration:
 
 @runtime_checkable
 class Backend(Protocol):
+    """Anything with ``generate_step``.
+
+    A backend may also declare ``max_in_flight``, the number of calls it
+    takes at once; the engine then sends up to that many independent calls
+    concurrently, from worker threads, so ``generate_step`` must be
+    thread-safe. A backend without the attribute is called one request at a
+    time, in order, on the caller's thread.
+    """
+
     def generate_step(self, request: GenerationRequest) -> StepGeneration:
         """Produce the next reasoning step for the request's chain context."""
         ...
@@ -117,8 +127,9 @@ def detect_answer_marker(text: str, marker: str = DEFAULT_ANSWER_MARKER) -> str 
     return remainder or None
 
 
+@functools.cache
 def load_template(name: str) -> str:
-    """Load a prompt template asset shipped with the package."""
+    """A prompt template asset shipped with the package, read once."""
     return (
         resources.files("entroduction.templates").joinpath(name).read_text("utf-8")
     )

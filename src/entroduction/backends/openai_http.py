@@ -54,8 +54,9 @@ class OpenAIChatBackend:
     """Chat-completions client that returns token-level logprob evidence.
 
     ``endpoint`` is the API base (".../v1") or a full chat-completions URL.
-    In-flight requests are bounded by a semaphore so many chains can share
-    one backend safely.
+    In-flight requests are bounded by a semaphore of ``max_in_flight``, so
+    many chains and tasks can share one backend safely; the engine sends up
+    to that many independent calls at once.
     """
 
     def __init__(
@@ -74,6 +75,8 @@ class OpenAIChatBackend:
             raise ConfigurationError("endpoint is required")
         if not model:
             raise ConfigurationError("model is required")
+        if max_in_flight < 1:
+            raise ConfigurationError("max_in_flight must be >= 1")
         self._url = self._completions_url(endpoint)
         self._model = model
         self._api_key = api_key
@@ -82,7 +85,13 @@ class OpenAIChatBackend:
         self._max_attempts = max(1, max_attempts)
         self._retry_backoff = retry_backoff
         self._session = session or requests.Session()
+        self._max_in_flight = max_in_flight
         self._in_flight = threading.BoundedSemaphore(max_in_flight)
+
+    @property
+    def max_in_flight(self) -> int:
+        """How many requests this backend sends at once."""
+        return self._max_in_flight
 
     @staticmethod
     def _completions_url(endpoint: str) -> str:
@@ -187,12 +196,14 @@ class OpenAIChatBackend:
 
     def generate_step(self, request: GenerationRequest) -> StepGeneration:
         data = self._post(self._payload(request))
-        try:
-            choice = data["choices"][0]
-        except (KeyError, IndexError) as exc:
-            raise BackendError(f"malformed completion response: {exc}") from exc
+        choices = data.get("choices") if isinstance(data, dict) else None
+        if not (isinstance(choices, list) and choices and isinstance(choices[0], dict)):
+            raise BackendError(f"malformed completion response: {str(data)[:200]}")
+        choice = choices[0]
 
         logprobs = choice.get("logprobs")
+        if logprobs is not None and not isinstance(logprobs, dict):
+            raise BackendError(f"malformed logprobs: {str(logprobs)[:200]}")
         if not logprobs or not logprobs.get("content"):
             raise ConfigurationError("logprobs unavailable")
         tokens = self._parse_tokens(logprobs["content"])

@@ -19,16 +19,28 @@ detected answer are asked once more to state one so they can join the vote.
 The run conclusion is the majority vote over chain answers, ties broken by
 the most confident chain (lowest mean normalized step entropy).
 
-``request_for`` and ``elicit_answer`` are the one way to build a generation
-request and to elicit a final answer, shared with the fixed-shape baselines.
+Backend calls that do not depend on each other go out together through
+``generate_all``: every step call of an iteration, and the final elicitation
+calls. Up to the backend's ``max_in_flight`` calls run at once (a backend
+that declares none is called one request at a time, on the calling thread).
+Results are still committed chain by chain in ascending id order, node ids
+are allocated at commit time, and an expand's sibling call, which depends on
+that chain's decision, runs at the chain's turn, so the trace is the one a
+serial run produces.
+
+``request_for``, ``elicit_answers`` and ``generate_all`` are the one way to
+build a generation request, to elicit final answers and to fan calls out,
+shared with the fixed-shape baselines.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +50,7 @@ from .backends.base import (
     DEFAULT_ANSWER_MARKER,
     DEFAULT_SYSTEM_PROMPT,
     GenerationRequest,
+    StepGeneration,
     detect_answer_marker,
     render_conclusion_prompt,
 )
@@ -65,7 +78,8 @@ __all__ = [
     "RunResult",
     "run_task",
     "request_for",
-    "elicit_answer",
+    "generate_all",
+    "elicit_answers",
     "majority_vote",
     "chain_conclusions",
 ]
@@ -198,17 +212,71 @@ def request_for(config: RunConfig, task: str, prior: Sequence[str]) -> Generatio
     )
 
 
-def elicit_answer(
-    backend: Backend, config: RunConfig, task: str, prior: Sequence[str]
-) -> str:
-    """Ask once for a final answer after ``prior``: the stated answer if the
-    reply has the marker, else the whole stripped reply."""
-    prior = tuple(prior)
-    generation = backend.generate_step(
+def generate_all(
+    backend: Backend, requests: Iterable[GenerationRequest]
+) -> Iterator[StepGeneration]:
+    """Each request's generation, yielded in request order.
+
+    Up to ``backend.max_in_flight`` calls run at once on worker threads. A
+    backend without that attribute, or a batch with one distinct request, is
+    called lazily on the caller's thread: one call per item consumed, so the
+    calls and their order are those of a plain loop. Identical requests run
+    one after another in submission order, so a backend that answers by
+    (request, occurrence) gives the same replies in any schedule. The first
+    failing request in order raises its error once every earlier result has
+    been yielded. Closing the generator cancels calls not yet started and
+    waits for those in flight; a caller that may stop early closes it
+    (``contextlib.closing``).
+    """
+    requests = list(requests)
+    groups: dict[GenerationRequest, list[int]] = {}
+    for index, request in enumerate(requests):
+        groups.setdefault(request, []).append(index)
+    width = min(getattr(backend, "max_in_flight", 1), len(groups))
+    if width <= 1:
+        for request in requests:
+            yield backend.generate_step(request)
+        return
+
+    futures: list[Future] = [Future() for _ in requests]
+
+    def run_group(indices: list[int]) -> None:
+        for index in indices:
+            future = futures[index]
+            if not future.set_running_or_notify_cancel():
+                return
+            try:
+                future.set_result(backend.generate_step(requests[index]))
+            except Exception as exc:
+                # Later requests of the group would follow a failure in order.
+                future.set_exception(exc)
+                return
+
+    pool = ThreadPoolExecutor(width, thread_name_prefix="entroduction-generate")
+    try:
+        for indices in groups.values():
+            pool.submit(run_group, indices)
+        for future in futures:
+            yield future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        pool.shutdown(wait=True)
+
+
+def elicit_answers(
+    backend: Backend, config: RunConfig, task: str, priors: Iterable[Sequence[str]]
+) -> Iterator[str]:
+    """Ask once per prior for a final answer, yielded in order: the stated
+    answer if the reply has the marker, else the whole stripped reply."""
+    requests = [
         request_for(config, render_conclusion_prompt(task, prior), prior)
-    )
-    answer = detect_answer_marker(generation.text, config.answer_marker)
-    return answer if answer is not None else generation.text.strip()
+        for prior in map(tuple, priors)
+    ]
+    with closing(generate_all(backend, requests)) as generations:
+        for generation in generations:
+            answer = detect_answer_marker(generation.text, config.answer_marker)
+            yield answer if answer is not None else generation.text.strip()
 
 
 class _Runner:
@@ -226,8 +294,7 @@ class _Runner:
             self.rngs[chain_id] = chain_rng(self.config.policy.seed, chain_id)
         return self.rngs[chain_id]
 
-    def generate_node(self, chain: Chain, request: GenerationRequest) -> ReasoningNode:
-        generation = self.backend.generate_step(request)
+    def make_node(self, chain: Chain, generation: StepGeneration) -> ReasoningNode:
         if not generation.tokens:
             raise BackendError("empty step")
         metrics = compute_step_metrics(generation.tokens, self.config.token_entropy_mode)
@@ -273,10 +340,16 @@ class _Runner:
             )
         )
 
-    def advance_chain(self, chain: Chain, step_index: int) -> None:
-        """Advance one chain by one generated step within iteration ``step_index``."""
-        request = request_for(self.config, self.structure.task, chain.node_texts())
-        node = self.generate_node(chain, request)
+    def advance_chain(
+        self,
+        chain: Chain,
+        step_index: int,
+        request: GenerationRequest,
+        generation: StepGeneration,
+    ) -> None:
+        """Commit ``generation``, the reply to ``request``, as the chain's step
+        in iteration ``step_index``."""
+        node = self.make_node(chain, generation)
 
         # Soft-stop grace steps, and the first two steps (no delta pair
         # exists yet), are unconditional deepens.
@@ -302,7 +375,7 @@ class _Runner:
 
         remaining = reason = None
         if action is Action.EXPAND:
-            sibling_node = self.generate_node(chain, request)
+            sibling_node = self.make_node(chain, self.backend.generate_step(request))
             sibling_id = self.structure.expand(chain, node, sibling_node)
             assert sibling_id is not None  # budget was checked above
         else:
@@ -324,15 +397,30 @@ class _Runner:
                 self.structure.chains[-1], sibling_node, step_index, ExecutedBehavior.EXPAND
             )
 
+    def advance_round(self, step_index: int) -> None:
+        """Advance every unfinished chain by one step, calls made together."""
+        chains = self.structure.unfinished_chains()
+        requests = [
+            request_for(self.config, self.structure.task, chain.node_texts())
+            for chain in chains
+        ]
+        with closing(generate_all(self.backend, requests)) as generations:
+            for chain, request, generation in zip(chains, requests, generations):
+                self.advance_chain(chain, step_index, request, generation)
+
     def elicit_conclusions(self) -> None:
-        for chain in self.structure.chains:
-            if chain.final_answer or not chain.nodes:
-                continue
-            answer = elicit_answer(
-                self.backend, self.config, self.structure.task, chain.node_texts()
-            )
-            self.conclusion_calls += 1
-            chain.final_answer = answer or None
+        pending = [
+            chain for chain in self.structure.chains
+            if not chain.final_answer and chain.nodes
+        ]
+        answers = elicit_answers(
+            self.backend, self.config, self.structure.task,
+            [chain.node_texts() for chain in pending],
+        )
+        with closing(answers):
+            for chain, answer in zip(pending, answers):
+                self.conclusion_calls += 1
+                chain.final_answer = answer or None
 
     def run(self) -> RunResult:
         started = time.perf_counter()
@@ -342,8 +430,7 @@ class _Runner:
             step_index = 0
             while step_index < self.config.max_steps and self.structure.unfinished_chains():
                 step_index += 1
-                for chain in self.structure.unfinished_chains():
-                    self.advance_chain(chain, step_index)
+                self.advance_round(step_index)
             for chain in self.structure.unfinished_chains():
                 chain.finalize()
             if self.config.elicit_final_answer:
@@ -379,9 +466,10 @@ def run_task(task: str, config: RunConfig, backend: Backend) -> RunResult:
     """Run the full control loop for one task against ``backend``.
 
     Deterministic given (task, config, backend behavior): chain random
-    streams are keyed by (seed, chain id) and chains are processed in
+    streams are keyed by (seed, chain id) and chains are committed in
     ascending id order, with chains created mid-iteration first acting in
-    the next iteration. A fatal backend error aborts the run and returns the
-    partial trace with ``aborted`` set.
+    the next iteration. Calls made together (see ``generate_all``) change
+    timing, not results. A fatal backend error aborts the run and returns the
+    partial trace with ``aborted`` set; no worker thread outlives the call.
     """
     return _Runner(task, config, backend).run()

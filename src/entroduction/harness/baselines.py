@@ -6,17 +6,20 @@ steps``, and a tree with ``branching`` children per node over ``layers``
 levels (root level included) costs sum(branching**k for k in range(layers))
 nodes. Final-answer elicitation calls are tracked separately from reasoning
 steps. Requests and elicitation go through the engine's ``request_for`` and
-``elicit_answer``, so a ``RunConfig`` sets sampling, prompt and marker for
-both the adaptive method and these baselines.
+``elicit_answers``, so a ``RunConfig`` sets sampling, prompt and marker for
+both the adaptive method and these baselines. The calls of one tree layer,
+of one step across all chains, and of the elicitation go out together
+through the engine's ``generate_all``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..backends.base import Backend, detect_answer_marker
-from ..engine import RunConfig, elicit_answer, request_for
+from ..engine import RunConfig, elicit_answers, generate_all, request_for
 
 __all__ = [
     "BaselineMethod",
@@ -88,6 +91,34 @@ class BaselineOutcome:
     conclusion_calls: int
 
 
+Transcript = tuple[str, ...]
+
+
+def _extend(
+    backend: Backend, config: RunConfig, task: str, paths: Sequence[Transcript]
+) -> list[Transcript]:
+    """Each path with one more generated step, the calls made together."""
+    requests = [request_for(config, task, path) for path in paths]
+    return [
+        path + (generation.text,)
+        for path, generation in zip(paths, list(generate_all(backend, requests)))
+    ]
+
+
+def _answers(
+    backend: Backend,
+    config: RunConfig,
+    task: str,
+    paths: Sequence[Transcript],
+    stated: Sequence[str | None],
+) -> tuple[list[str], int]:
+    """The stated answer of each path where there is one, else one elicited
+    after the path; and the number of elicitation calls."""
+    asked = [path for path, found in zip(paths, stated) if found is None]
+    elicited = iter(list(elicit_answers(backend, config, task, asked)))
+    return [found if found is not None else next(elicited) for found in stated], len(asked)
+
+
 def run_chain_baseline(
     task: str,
     params: BaselineParams,
@@ -97,37 +128,28 @@ def run_chain_baseline(
     config: RunConfig = RunConfig(),
 ) -> BaselineOutcome:
     """Fixed-length chains: every chain generates exactly ``params.steps``
-    nodes (no early stopping, so accounting stays exact), then answers are
-    sampled ``vote_width`` times round-robin across chains. ``config``
-    supplies the sampling settings, system prompt and answer marker."""
+    nodes (no early stopping, so accounting stays exact), one step of every
+    chain at a time, then answers are sampled ``vote_width`` times
+    round-robin across chains. ``config`` supplies the sampling settings,
+    system prompt and answer marker."""
     chains = n_chains if n_chains is not None else params.chains
-    transcripts: list[tuple[str, ...]] = []
-    steps_generated = 0
-    for _ in range(chains):
-        prior: tuple[str, ...] = ()
-        for _ in range(params.steps):
-            generation = backend.generate_step(request_for(config, task, prior))
-            steps_generated += 1
-            prior = prior + (generation.text,)
-        transcripts.append(prior)
+    transcripts: list[Transcript] = [()] * chains
+    for _ in range(params.steps):
+        transcripts = _extend(backend, config, task, transcripts)
 
     vote_width = params.vote_width if params.vote_width is not None else chains
-    answers: list[str] = []
-    conclusion_calls = 0
-    for i in range(vote_width):
-        prior = transcripts[i % len(transcripts)]
-        marker_hits = [
+    voters = [transcripts[i % len(transcripts)] for i in range(vote_width)]
+    # A stated answer inside the transcript stands in for elicitation.
+    stated = []
+    for prior in voters:
+        hits = [
             m
             for m in (detect_answer_marker(t, config.answer_marker) for t in prior)
             if m is not None
         ]
-        if marker_hits:
-            # A stated answer inside the transcript stands in for elicitation.
-            answers.append(marker_hits[-1])
-            continue
-        answers.append(elicit_answer(backend, config, task, prior))
-        conclusion_calls += 1
-    return BaselineOutcome(answers, steps_generated, conclusion_calls)
+        stated.append(hits[-1] if hits else None)
+    answers, conclusion_calls = _answers(backend, config, task, voters, stated)
+    return BaselineOutcome(answers, chains * params.steps, conclusion_calls)
 
 
 def run_tree_baseline(
@@ -138,32 +160,16 @@ def run_tree_baseline(
     config: RunConfig = RunConfig(),
 ) -> BaselineOutcome:
     """Full tree expansion: one root step, then ``branching`` children per
-    node for ``layers - 1`` further levels; answers come from the leaves.
-    ``config`` supplies the sampling settings, system prompt and answer
-    marker."""
-    steps_generated = 0
-    frontier: list[tuple[str, ...]] = []
-
-    root = backend.generate_step(request_for(config, task, ()))
-    steps_generated += 1
-    frontier.append((root.text,))
-
+    node for ``layers - 1`` further levels, one layer at a time; answers come
+    from the leaves. ``config`` supplies the sampling settings, system prompt
+    and answer marker."""
+    frontier = _extend(backend, config, task, [()])
+    steps_generated = len(frontier)
     for _ in range(params.layers - 1):
-        next_frontier: list[tuple[str, ...]] = []
-        for path in frontier:
-            for _ in range(params.branching):
-                generation = backend.generate_step(request_for(config, task, path))
-                steps_generated += 1
-                next_frontier.append(path + (generation.text,))
-        frontier = next_frontier
+        children = [path for path in frontier for _ in range(params.branching)]
+        frontier = _extend(backend, config, task, children)
+        steps_generated += len(frontier)
 
-    answers: list[str] = []
-    conclusion_calls = 0
-    for path in frontier:
-        found = detect_answer_marker(path[-1], config.answer_marker)
-        if found is not None:
-            answers.append(found)
-            continue
-        answers.append(elicit_answer(backend, config, task, path))
-        conclusion_calls += 1
+    stated = [detect_answer_marker(path[-1], config.answer_marker) for path in frontier]
+    answers, conclusion_calls = _answers(backend, config, task, frontier, stated)
     return BaselineOutcome(answers, steps_generated, conclusion_calls)

@@ -163,8 +163,11 @@ def run_benchmark(
     """Score ``method`` on ``tasks``.
 
     ``on_result`` receives each completed adaptive run (for trace export).
-    ``workers > 1`` runs tasks concurrently; use it only with a backend whose
-    responses do not depend on call order.
+    Within a task, independent backend calls go out together, up to the
+    backend's ``max_in_flight`` (see ``engine.generate_all``); results do
+    not depend on it. ``workers > 1`` also runs tasks concurrently; use it
+    only with a backend whose responses do not depend on call order. A
+    backend error ends only its own task, recorded with ``error`` set.
     """
     if not tasks:
         raise ValueError("empty task list")

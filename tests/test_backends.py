@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +22,7 @@ from entroduction.backends import (
     load_fixture,
     logits_for_normalized_entropy,
 )
+from entroduction.backends import base
 from entroduction.backends.scripted import step_to_json
 from entroduction.metrics import TokenRecord, compute_step_metrics
 
@@ -210,3 +213,27 @@ class TestStepGenerationInvariant:
     def test_nonempty_text_requires_tokens(self):
         with pytest.raises(ValueError, match="tokens"):
             StepGeneration("abc", (), FinishReason.STOP_SEQUENCE)
+
+
+class TestTemplates:
+    def test_template_read_once(self, monkeypatch):
+        expected = (
+            resources.files("entroduction.templates")
+            .joinpath("step_prompt.txt")
+            .read_text("utf-8")
+            .format(task="q", prior_steps="1. a\n2. b")
+        )
+        reads = []
+
+        def files(package):
+            reads.append(package)
+            return resources.files(package)
+
+        monkeypatch.setattr(base, "resources", SimpleNamespace(files=files))
+        base.load_template.cache_clear()
+        try:
+            rendered = [base.render_step_prompt("q", ("a", "b")) for _ in range(3)]
+        finally:
+            base.load_template.cache_clear()
+        assert rendered == [expected] * 3
+        assert reads == ["entroduction.templates"]

@@ -15,7 +15,13 @@ from entroduction.backends import (
     TransportError,
 )
 from entroduction.engine import RunConfig, run_task
-from entroduction.harness import Method, TaskInstance, TaskKind, run_benchmark
+from entroduction.harness import (
+    BaselineParams,
+    Method,
+    TaskInstance,
+    TaskKind,
+    run_benchmark,
+)
 from entroduction.metrics import compute_step_metrics
 
 THREE_TOKENS = [("Add ", -0.2), ("the ", -1.6), ("numbers.", -0.7)]
@@ -118,6 +124,28 @@ class TestParsing:
             report = run_benchmark(Method.COT, [task], backend)
         assert report.records[0].error and not report.records[0].correct
 
+    @pytest.mark.parametrize(
+        "body",
+        [[], {"choices": ["x"]}, {"choices": [{"logprobs": "x"}]}],
+        ids=["list body", "string choice", "string logprobs"],
+    )
+    def test_bad_response_shape_rejected(self, body):
+        with ChatCompletionsMock([body]) as mock:
+            backend = make_backend(mock)
+            with pytest.raises(BackendError, match="malformed"):
+                backend.generate_step(step_request())
+
+    def test_bad_response_shape_ends_only_its_task(self):
+        tasks = [TaskInstance(f"t{i}", f"q{i}", "4", TaskKind.NUMERIC_MATH) for i in (1, 2)]
+        good = completion_payload([("The answer is 4", -0.05)])
+        with ChatCompletionsMock([{"choices": ["x"]}, good]) as mock:
+            report = run_benchmark(
+                Method.COT, tasks, make_backend(mock), params=BaselineParams(steps=1)
+            )
+        assert "malformed" in report.records[0].error
+        assert not report.records[0].correct
+        assert report.records[1].correct and report.records[1].error is None
+
     def test_finish_reasons(self):
         answer_tokens = [("The answer is 4", -0.05)]
         with ChatCompletionsMock(
@@ -196,6 +224,15 @@ class TestConstruction:
     def test_missing_endpoint_rejected(self):
         with pytest.raises(ConfigurationError):
             OpenAIChatBackend(endpoint="", model="m")
+
+    def test_max_in_flight_declared(self):
+        assert OpenAIChatBackend(endpoint="http://h/v1", model="m").max_in_flight == 4
+        backend = OpenAIChatBackend(endpoint="http://h/v1", model="m", max_in_flight=2)
+        assert backend.max_in_flight == 2
+        with pytest.raises(AttributeError):
+            backend.max_in_flight = 8
+        with pytest.raises(ConfigurationError, match="max_in_flight"):
+            OpenAIChatBackend(endpoint="http://h/v1", model="m", max_in_flight=0)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("ENTRODUCTION_ENDPOINT", raising=False)
