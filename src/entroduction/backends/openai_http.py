@@ -2,15 +2,18 @@
 
 Sends one chat-completions request per reasoning step with logprobs enabled
 and parses the per-token log-probability payload into token records. Network
-failures and 5xx responses are retried with bounded exponential backoff; a
-response without logprob content is a fatal configuration error because the
-whole method depends on it.
+failures, 429 (rate limited) and 5xx responses are retried: after a numeric
+``Retry-After`` header, capped at ``MAX_RETRY_AFTER_S``, or else after an
+exponential backoff with full jitter. Any other 4xx, or a response without
+logprob content, is a fatal configuration error because the whole method
+depends on it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import random
 import threading
 import time
 from typing import Sequence
@@ -40,6 +43,20 @@ DEFAULT_STOP_SEQUENCES = ("\n",)
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_MAX_IN_FLIGHT = 4
+MAX_RETRY_AFTER_S = 30.0
+
+
+def _retry_after(response: requests.Response) -> float | None:
+    """The wait a numeric ``Retry-After`` header asks for, capped at
+    ``MAX_RETRY_AFTER_S``; None when absent, negative or not a number (an
+    HTTP date is not parsed)."""
+    try:
+        seconds = float(response.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    if math.isnan(seconds) or seconds < 0:
+        return None
+    return min(seconds, MAX_RETRY_AFTER_S)
 
 
 def _logprob(entry: dict) -> float:
@@ -84,6 +101,7 @@ class OpenAIChatBackend:
         self._timeout = timeout
         self._max_attempts = max(1, max_attempts)
         self._retry_backoff = retry_backoff
+        self._jitter = random.Random()
         self._session = session or requests.Session()
         self._max_in_flight = max_in_flight
         self._in_flight = threading.BoundedSemaphore(max_in_flight)
@@ -136,6 +154,7 @@ class OpenAIChatBackend:
     def _post(self, payload: dict) -> dict:
         last_error: Exception | None = None
         for attempt in range(1, self._max_attempts + 1):
+            wait = None
             try:
                 with self._in_flight:
                     response = self._session.post(
@@ -147,21 +166,23 @@ class OpenAIChatBackend:
             except requests.RequestException as exc:
                 last_error = exc
             else:
-                if response.status_code < 500:
-                    if response.status_code >= 400:
-                        raise ConfigurationError(
-                            f"endpoint rejected request ({response.status_code}): "
-                            f"{response.text[:500]}"
-                        )
+                status = response.status_code
+                if status < 400:
                     try:
                         return response.json()
                     except ValueError as exc:
                         raise BackendError(f"bad JSON from endpoint: {exc}") from exc
-                last_error = TransportError(
-                    f"server error {response.status_code}: {response.text[:200]}"
-                )
+                if status < 500 and status != 429:
+                    raise ConfigurationError(
+                        f"endpoint rejected request ({status}): {response.text[:500]}"
+                    )
+                last_error = TransportError(f"HTTP {status}: {response.text[:200]}")
+                wait = _retry_after(response)
             if attempt < self._max_attempts:
-                time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
+                if wait is None:
+                    ceiling = self._retry_backoff * 2 ** (attempt - 1)
+                    wait = self._jitter.uniform(0.0, ceiling)
+                time.sleep(wait)
         raise TransportError(
             f"endpoint unreachable after {self._max_attempts} attempts: {last_error}"
         )

@@ -10,6 +10,7 @@ without a model.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -37,7 +38,9 @@ def logits_for_normalized_entropy(
 
     Uses the family [a, 0, ..., 0]: a = 0 is uniform (normalized entropy 1)
     and the entropy falls monotonically to 0 as ``a`` grows, so bisection
-    converges to float precision.
+    converges to float precision. The solved ``a`` is memoized for each
+    process, keyed by ``(target, n_tokens, tolerance)``, so each distinct
+    target is bisected once.
     """
     if n_tokens < 2:
         raise ValueError("need at least two tokens to target an entropy")
@@ -45,7 +48,12 @@ def logits_for_normalized_entropy(
         raise ValueError("target normalized entropy must be in (0, 1]")
     if target == 1.0:
         return (0.0,) * n_tokens
+    return (_solve(target, n_tokens, tolerance),) + (0.0,) * (n_tokens - 1)
 
+
+@functools.cache
+def _solve(target: float, n_tokens: int, tolerance: float) -> float:
+    """The ``a`` of [a, 0, ..., 0] that realizes ``target``, by bisection."""
     max_entropy = math.log2(n_tokens)
 
     def normalized(a: float) -> float:
@@ -66,10 +74,7 @@ def logits_for_normalized_entropy(
             hi = mid
         if hi - lo < tolerance * max(1.0, hi):
             break
-    a = 0.5 * (lo + hi)
-    logits = [0.0] * n_tokens
-    logits[0] = a
-    return tuple(logits)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,9 @@ class SyntheticBackend:
 
     The schedule entry for a call is ``schedule[len(prior_steps)]``; calls
     past the end reuse the final entry, so runs of any length are served.
+    Entropy targets are solved once per process (see
+    ``logits_for_normalized_entropy``), so repeated entries, and backends
+    that share a schedule, cost no new bisection.
     """
 
     def __init__(self, schedule: Sequence[SyntheticStep]):

@@ -42,6 +42,8 @@ def completion_payload(tokens, finish_reason="stop", content=None):
 class ChatCompletionsMock:
     """Replays canned responses in FIFO order and records request bodies.
 
+    A response is a JSON payload (sent with status 200), a ``(status,
+    payload)`` pair or a ``(status, payload, headers)`` triple.
     ``fail_first`` makes the first N requests return HTTP 500 (each failure
     consumes no canned response). When the queue empties, the last response
     is repeated.
@@ -72,12 +74,15 @@ class ChatCompletionsMock:
                     index = min(mock._served, len(mock.responses) - 1)
                     payload = mock.responses[index]
                     mock._served += 1
-                status = 200
+                status, headers = 200, {}
                 if isinstance(payload, tuple):
-                    status, payload = payload
+                    status, payload, *rest = payload
+                    headers = rest[0] if rest else {}
                 data = json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 

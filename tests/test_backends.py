@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from importlib import resources
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from entroduction.backends import (
 )
 from entroduction.backends import base
 from entroduction.backends.scripted import step_to_json
+from entroduction.backends.synthetic import _solve
 from entroduction.metrics import TokenRecord, compute_step_metrics
 
 
@@ -182,12 +184,70 @@ class TestLogitsForTarget:
         assert realized == pytest.approx(target, abs=1e-6)
 
     def test_invalid_targets(self):
-        with pytest.raises(ValueError):
-            logits_for_normalized_entropy(0.0, 4)
-        with pytest.raises(ValueError):
-            logits_for_normalized_entropy(1.2, 4)
-        with pytest.raises(ValueError):
-            logits_for_normalized_entropy(0.5, 1)
+        for _ in range(2):  # raised again: nothing bad was cached
+            with pytest.raises(ValueError):
+                logits_for_normalized_entropy(0.0, 4)
+            with pytest.raises(ValueError):
+                logits_for_normalized_entropy(1.2, 4)
+            with pytest.raises(ValueError):
+                logits_for_normalized_entropy(0.5, 1)
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_cached_equals_uncached_bisection(self, n):
+        targets = [0.05] + [round(0.025 * k, 3) for k in range(3, 40)] + [0.999, 1.0]
+        for target in targets:
+            if target == 1.0:
+                uncached = (0.0,) * n
+            else:
+                uncached = (_solve.__wrapped__(target, n, 1e-9),) + (0.0,) * (n - 1)
+            assert logits_for_normalized_entropy(target, n) == uncached
+            assert logits_for_normalized_entropy(target, n) == uncached
+
+    @pytest.mark.parametrize(
+        "target, n, solved",
+        [
+            (0.5, 8, "0x1.87bd887200000p+1"),
+            (0.05, 128, "0x1.0f8bcef200000p+3"),
+            (0.9, 2, "0x1.8b54200c00000p-1"),
+            (0.37, 32, "0x1.2cc866be00000p+2"),
+        ],
+    )
+    def test_solution_pinned(self, target, n, solved):
+        # Recorded before the solve was memoized; the benchmark digests
+        # depend on these last bits.
+        assert logits_for_normalized_entropy(target, n)[0] == float.fromhex(solved)
+
+    def test_second_backend_solves_nothing(self):
+        schedule = [
+            SyntheticStep(target_normalized_entropy=t, n_tokens=24)
+            for t in (0.612, 0.418)
+        ]
+        first = SyntheticBackend(schedule)
+        steps = [first.generate_step(request()), first.generate_step(request(("a",)))]
+        misses = _solve.cache_info().misses
+        second = SyntheticBackend(schedule)
+        again = [second.generate_step(request()), second.generate_step(request(("b",)))]
+        assert _solve.cache_info().misses == misses
+        assert [s.tokens for s in again] == [s.tokens for s in steps]
+
+    def test_threads_share_one_key(self):
+        _solve.cache_clear()
+        barrier = threading.Barrier(8, timeout=10)
+        results = []
+
+        def solve():
+            barrier.wait()
+            results.append(logits_for_normalized_entropy(0.333, 64))
+
+        threads = [threading.Thread(target=solve) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(results) == 8
+        assert all(result == results[0] for result in results)
+        assert results[0][0] == _solve.__wrapped__(0.333, 64, 1e-9)
 
 
 class TestGenerationRequest:

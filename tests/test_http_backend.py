@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import json
+import threading
+import time
+
 import pytest
 
 import oracle
+from helpers import EXPAND_SCHEDULE, synthetic_schedule
 from mock_server import ChatCompletionsMock, completion_payload
+from entroduction.backends import base, openai_http
 from entroduction.backends import (
     BackendError,
     ConfigurationError,
     FinishReason,
     GenerationRequest,
     OpenAIChatBackend,
+    SyntheticBackend,
     TransportError,
 )
-from entroduction.engine import RunConfig, run_task
+from entroduction.engine import ExecutedBehavior, RunConfig, run_task
 from entroduction.harness import (
     BaselineParams,
     Method,
@@ -23,8 +30,10 @@ from entroduction.harness import (
     run_benchmark,
 )
 from entroduction.metrics import compute_step_metrics
+from entroduction.policy import PolicyConfig
 
 THREE_TOKENS = [("Add ", -0.2), ("the ", -1.6), ("numbers.", -0.7)]
+RATE_LIMITED = (429, {"error": "rate limited"})
 
 
 def make_backend(mock, **kwargs) -> OpenAIChatBackend:
@@ -183,6 +192,60 @@ class TestFailures:
                 backend.generate_step(step_request())
             assert len(mock.requests) == 3
 
+    def test_rate_limited_then_success(self):
+        responses = [RATE_LIMITED, completion_payload(THREE_TOKENS)]
+        with ChatCompletionsMock(responses) as mock:
+            step = make_backend(mock).generate_step(step_request())
+            assert step.text == "Add the numbers."
+            assert len(mock.requests) == 2
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_honoured_and_capped(self, status, monkeypatch):
+        waits = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+        responses = [
+            (status, {}, {"Retry-After": "0"}),
+            (status, {}, {"Retry-After": "86400"}),
+            completion_payload(THREE_TOKENS),
+        ]
+        with ChatCompletionsMock(responses) as mock:
+            make_backend(mock, retry_backoff=5.0).generate_step(step_request())
+            assert len(mock.requests) == 3
+        assert waits == [0.0, openai_http.MAX_RETRY_AFTER_S]
+
+    def test_backoff_has_full_jitter(self, monkeypatch):
+        waits, spans = [], []
+
+        def uniform(lo, hi):
+            spans.append((lo, hi))
+            return hi / 2
+
+        monkeypatch.setattr(time, "sleep", waits.append)
+        http_date = {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}
+        with ChatCompletionsMock([(503, {}, http_date)]) as mock:
+            backend = make_backend(mock, retry_backoff=1.0, max_attempts=4)
+            monkeypatch.setattr(backend._jitter, "uniform", uniform)
+            with pytest.raises(TransportError, match="503"):
+                backend.generate_step(step_request())
+        assert spans == [(0.0, 1.0), (0.0, 2.0), (0.0, 4.0)]
+        assert waits == [0.5, 1.0, 2.0]
+
+    def test_rate_limited_throughout_ends_only_its_task(self):
+        with ChatCompletionsMock([RATE_LIMITED]) as mock:
+            with pytest.raises(TransportError, match="429"):
+                make_backend(mock, max_attempts=3).generate_step(step_request())
+            assert len(mock.requests) == 3
+
+        tasks = [TaskInstance(f"t{i}", f"q{i}", "4", TaskKind.NUMERIC_MATH) for i in (1, 2)]
+        good = completion_payload([("The answer is 4", -0.05)])
+        with ChatCompletionsMock([RATE_LIMITED] * 3 + [good]) as mock:
+            report = run_benchmark(
+                Method.COT, tasks, make_backend(mock), params=BaselineParams(steps=1)
+            )
+        assert "429" in report.records[0].error
+        assert not report.records[0].correct
+        assert report.records[1].correct and report.records[1].error is None
+
     def test_unreachable_endpoint(self):
         backend = OpenAIChatBackend(
             endpoint="http://127.0.0.1:9",  # discard port, nothing listens
@@ -207,7 +270,53 @@ class TestFailures:
             backend = make_backend(mock)
             with pytest.raises(ConfigurationError, match="404"):
                 backend.generate_step(step_request())
-            assert len(mock.requests) == 1  # no retry on 4xx
+            assert len(mock.requests) == 1  # no retry on 4xx other than 429
+
+
+class TestSharedPrefix:
+    """Expand siblings share their whole prompt, so a prefix-caching server
+    can reuse it only if both render to the same bytes."""
+
+    def test_sibling_renders_byte_identical(self):
+        requests = []
+        synthetic = SyntheticBackend(synthetic_schedule(EXPAND_SCHEDULE))
+
+        class Recording:
+            def generate_step(self, request):
+                requests.append(request)
+                return synthetic.generate_step(request)
+
+        config = RunConfig(
+            policy=PolicyConfig(epsilon=0.0, stop_k=1), max_steps=3,
+            elicit_final_answer=False,
+        )
+        result = run_task("add 2 and 2", config, Recording())
+        assert [e.executed for e in result.trace][-2:] == [ExecutedBehavior.EXPAND] * 2
+        chain, sibling = [r for r in requests if len(r.prior_steps) == 2]
+        assert chain == sibling
+
+        http = OpenAIChatBackend(endpoint="http://127.0.0.1:9/v1", model="m")
+        assert json.dumps(http._payload(chain)) == json.dumps(http._payload(sibling))
+
+    def test_threads_render_byte_identical(self):
+        http = OpenAIChatBackend(endpoint="http://127.0.0.1:9/v1", model="m")
+        request = step_request(prior_steps=("first thought", "second thought"))
+        expected = json.dumps(http._payload(request))
+        base.load_template.cache_clear()
+        barrier = threading.Barrier(4, timeout=10)
+        rendered = []
+
+        def render():
+            barrier.wait()
+            rendered.append(json.dumps(http._payload(request)))
+
+        threads = [threading.Thread(target=render) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert rendered == [expected] * 4
 
 
 class TestConstruction:
