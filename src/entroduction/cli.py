@@ -1,15 +1,19 @@
 """Command-line interface.
 
 Subcommands: ``run`` plays one task, ``bench`` scores a dataset, ``trace``
-re-exports or inspects a saved trace. Settings resolve in order: built-in
-defaults, then a key=value config file, then explicit flags. Exit codes:
-0 success, 1 configuration error, 2 backend failure, 3 dataset error.
+re-exports or inspects a saved trace. Settings resolve in order: the config
+dataclasses' defaults, then a key=value config file, then explicit flags;
+click converts file values with the same option types as flags. Exit codes:
+0 success, 1 configuration error (any bad flag or file value included),
+2 backend failure, 3 dataset error.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -24,6 +28,7 @@ from .backends import (
 )
 from .engine import RunConfig, run_task
 from .harness import (
+    BaselineMethod,
     BaselineParams,
     DatasetError,
     Method,
@@ -32,6 +37,7 @@ from .harness import (
     export_trace,
     format_summary,
     load_dataset,
+    math_params,
     read_trace,
     run_benchmark,
     summarize_trace,
@@ -43,25 +49,7 @@ EXIT_CONFIG = 1
 EXIT_BACKEND = 2
 EXIT_DATASET = 3
 
-DEFAULT_SCHEDULE = "0.95,0.9,0.85,0.5,0.3"
-
-METRIC_MODES = {
-    "both": MetricMode.BOTH,
-    "entropy": MetricMode.ENTROPY_ONLY,
-    "variance": MetricMode.VARIANCE_ONLY,
-    "none": MetricMode.NONE,
-}
-TASK_KINDS = {
-    "numeric": TaskKind.NUMERIC_MATH,
-    "choice": TaskKind.MULTIPLE_CHOICE,
-    "boolean": TaskKind.BOOLEAN,
-}
-METHODS = {
-    "entroduction": Method.ENTRODUCTION,
-    "cot": Method.COT,
-    "cotsc": Method.COT_SC,
-    "tot": Method.TOT,
-}
+BASELINE_DEFAULTS = math_params(BaselineMethod.COT_SC)
 
 
 def read_config_file(path: str | None) -> dict[str, str]:
@@ -84,109 +72,126 @@ def read_config_file(path: str | None) -> dict[str, str]:
     return values
 
 
-class Settings:
-    """Flag/config merge with the documented defaults."""
-
-    def __init__(self, flags: dict, file_values: dict[str, str]):
-        self._flags = flags
-        self._file = file_values
-
-    def get(self, key: str, default, cast=str):
-        flag = self._flags.get(key)
-        if flag is not None:
-            return flag
-        if key in self._file:
-            raw = self._file[key]
-            try:
-                if cast is bool:
-                    return raw.strip().lower() in ("1", "true", "yes", "on")
-                return cast(raw)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad config value for {key}: {raw}") from exc
-        return default
+def _given(settings: dict, config_class, **renamed: str) -> dict:
+    """The settings a flag or the config file gave, keyed by the field of
+    ``config_class`` each one fills (its option name unless ``renamed``)."""
+    names = {field.name for field in fields(config_class)}
+    given = {renamed.get(key, key): value for key, value in settings.items() if value is not None}
+    return {key: value for key, value in given.items() if key in names}
 
 
-def build_backend(settings: Settings):
-    name = settings.get("backend", "synthetic")
-    if name == "synthetic":
-        schedule_text = settings.get("schedule", DEFAULT_SCHEDULE)
-        try:
-            targets = [float(v) for v in str(schedule_text).split(",") if v.strip()]
-            schedule = [
-                SyntheticStep(target_normalized_entropy=t, n_tokens=8) for t in targets
-            ]
-        except ValueError as exc:
-            raise ConfigurationError(f"bad schedule: {schedule_text}") from exc
-        return SyntheticBackend(schedule)
-    if name == "scripted":
-        fixture = settings.get("fixture", None)
-        if not fixture:
-            raise ConfigurationError("scripted backend requires --fixture")
-        return ScriptedBackend.from_jsonl(fixture)
-    if name == "openai":
-        model = settings.get("model", None)
-        if not model:
-            raise ConfigurationError("openai backend requires --model")
-        endpoint = settings.get("endpoint", None)
-        api_key = settings.get("api_key", None)
-        if endpoint:
-            return OpenAIChatBackend(endpoint=endpoint, model=model, api_key=api_key)
-        return OpenAIChatBackend.from_env(model=model)
-    raise ConfigurationError(f"unknown backend: {name}")
-
-
-def build_run_config(settings: Settings) -> RunConfig:
-    metric_mode_name = str(settings.get("metric_mode", "both")).lower()
-    if metric_mode_name not in METRIC_MODES:
-        raise ConfigurationError(f"unknown metric mode: {metric_mode_name}")
+def _build(make, *args, **values):
+    """``make(*args, **values)``, with a rejected value as a configuration error."""
     try:
-        policy = PolicyConfig(
-            epsilon=float(settings.get("epsilon", 0.25, cast=float)),
-            stop_k=int(settings.get("stop_k", 2, cast=int)),
-            metric_mode=METRIC_MODES[metric_mode_name],
-            expand_enabled=settings.get("expand", True, cast=bool),
-            seed=int(settings.get("seed", 0, cast=int)),
-        )
-        return RunConfig(
-            max_steps=int(settings.get("max_steps", 16, cast=int)),
-            max_chains=int(settings.get("max_chains", 16, cast=int)),
-            policy=policy,
-            temperature=float(settings.get("temperature", 0.7, cast=float)),
-            max_tokens=int(settings.get("max_tokens", 128, cast=int)),
-        )
+        return make(*args, **values)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
 
 
+def build_backend(settings: dict):
+    name = settings["backend"]
+    if name == "synthetic":
+        schedule_text = settings["schedule"]
+        try:
+            targets = [float(v) for v in schedule_text.split(",") if v.strip()]
+            return SyntheticBackend(
+                [SyntheticStep(target_normalized_entropy=t, n_tokens=8) for t in targets]
+            )
+        except ValueError as exc:
+            raise ConfigurationError(f"bad schedule: {schedule_text}") from exc
+    if name == "scripted":
+        if not settings["fixture"]:
+            raise ConfigurationError("scripted backend requires --fixture")
+        return ScriptedBackend.from_jsonl(settings["fixture"])
+    model = settings["model"]
+    if not model:
+        raise ConfigurationError("openai backend requires --model")
+    endpoint = settings["endpoint"]
+    if endpoint:
+        return OpenAIChatBackend(endpoint=endpoint, model=model, api_key=settings["api_key"])
+    return OpenAIChatBackend.from_env(model=model)
+
+
+def build_run_config(settings: dict) -> RunConfig:
+    policy = _build(PolicyConfig, **_given(settings, PolicyConfig, expand="expand_enabled"))
+    return _build(RunConfig, policy=policy, **_given(settings, RunConfig))
+
+
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Eager: the file's values become the defaults of options no flag sets."""
+    try:
+        ctx.default_map = read_config_file(path)
+    except ConfigurationError as exc:
+        raise click.BadParameter(str(exc), ctx=ctx, param=param) from exc
+
+
+def _enum_option(*decls, enum_type, **kwargs):
+    """An option taking an enum's value, case-insensitively, as that member."""
+    return click.option(
+        *decls,
+        type=click.Choice([member.value for member in enum_type], case_sensitive=False),
+        callback=lambda ctx, param, value: None if value is None else enum_type(value),
+        **kwargs,
+    )
+
+
 def common_options(command):
+    run = RunConfig()
+    policy = run.policy
+    backends = click.Choice(["synthetic", "scripted", "openai"], case_sensitive=False)
     options = [
-        click.option("--config", "config_path", default=None, help="Key=value config file."),
-        click.option("--backend", default=None, help="synthetic | scripted | openai."),
-        click.option("--endpoint", default=None, help="OpenAI-compatible API base URL."),
-        click.option("--model", default=None, help="Model name for the HTTP backend."),
-        click.option("--api-key", default=None, help="API key (or use environment)."),
-        click.option("--fixture", default=None, help="Fixture JSONL for the scripted backend."),
-        click.option("--schedule", default=None, help="Entropy targets for the synthetic backend."),
-        click.option("--epsilon", type=float, default=None, help="Exploration rate (default 0.25)."),
-        click.option("--max-steps", type=int, default=None, help="Step budget (default 16)."),
-        click.option("--max-chains", type=int, default=None, help="Chain budget (default 16)."),
-        click.option("--stop-k", type=int, default=None, help="Soft-stop grace (default 2)."),
-        click.option("--metric-mode", default=None, help="both | entropy | variance | none."),
-        click.option("--expand/--no-expand", "expand", default=None, help="Toggle the expand behavior."),
-        click.option("--seed", type=int, default=None, help="Run seed (default 0)."),
-        click.option("--temperature", type=float, default=None, help="Sampling temperature (default 0.7)."),
-        click.option("--max-tokens", type=int, default=None, help="Per-step token cap (default 128)."),
+        click.option("--config", callback=_load_config, is_eager=True, expose_value=False,
+                     help="Key=value config file."),
+        click.option("--backend", type=backends, default="synthetic", show_default=True,
+                     help="Step backend."),
+        click.option("--endpoint", help="OpenAI-compatible API base URL."),
+        click.option("--model", help="Model name for the HTTP backend."),
+        click.option("--api-key", help="API key (or use environment)."),
+        click.option("--fixture", help="Fixture JSONL for the scripted backend."),
+        click.option("--schedule", default="0.95,0.9,0.85,0.5,0.3", show_default=True,
+                     help="Entropy targets for the synthetic backend."),
+        click.option("--epsilon", type=float, help=f"Exploration rate (default {policy.epsilon})."),
+        click.option("--max-steps", type=int, help=f"Step budget (default {run.max_steps})."),
+        click.option("--max-chains", type=int, help=f"Chain budget (default {run.max_chains})."),
+        click.option("--stop-k", type=int, help=f"Soft-stop grace (default {policy.stop_k})."),
+        _enum_option("--metric-mode", enum_type=MetricMode,
+                     help=f"Deltas that drive decisions (default {policy.metric_mode.value})."),
+        click.option("--expand/--no-expand", "expand", default=None,
+                     help=f"Toggle the expand behavior (default {policy.expand_enabled})."),
+        click.option("--seed", type=int, help=f"Run seed (default {policy.seed})."),
+        click.option("--temperature", type=float,
+                     help=f"Sampling temperature (default {run.temperature})."),
+        click.option("--max-tokens", type=int,
+                     help=f"Per-step token cap (default {run.max_tokens})."),
     ]
     for option in reversed(options):
         command = option(command)
     return command
 
 
-def _settings(config_path: str | None, **flags) -> Settings:
-    return Settings(flags, read_config_file(config_path))
+@contextmanager
+def _usage_errors_exit_config():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
 
 
-@click.group()
+class _Group(click.Group):
+    """A bad flag or file value, a bad choice, a missing option or an unknown
+    command exits EXIT_CONFIG, like every other configuration error."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_exit_config():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_exit_config():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Entropy-guided multi-step reasoning."""
 
@@ -196,10 +201,9 @@ def main() -> None:
 @common_options
 @click.option("--out", default=None, help="Write the trace JSONL here.")
 @click.option("--summary-out", default=None, help="Write the per-chain CSV here.")
-def run_command(task, config_path, out, summary_out, **flags) -> None:
+def run_command(task, out, summary_out, **settings) -> None:
     """Run one task and print its conclusion and run statistics."""
     try:
-        settings = _settings(config_path, **flags)
         backend = build_backend(settings)
         config = build_run_config(settings)
         result = run_task(task, config, backend)
@@ -227,46 +231,34 @@ def run_command(task, config_path, out, summary_out, **flags) -> None:
 
 @main.command("bench")
 @common_options
-@click.option("--dataset", required=False, default=None, help="Dataset JSONL path.")
-@click.option("--task-kind", default=None, help="numeric | choice | boolean.")
-@click.option("--method", "method_name", default=None, help="entroduction | cot | cotsc | tot.")
-@click.option("--steps", type=int, default=None, help="Baseline chain length.")
-@click.option("--chains", type=int, default=None, help="Baseline chain count.")
-@click.option("--branching", type=int, default=None, help="Tree branching factor.")
-@click.option("--layers", type=int, default=None, help="Tree layer count.")
+@click.option("--dataset", required=True, help="Dataset JSONL path.")
+@_enum_option("--task-kind", enum_type=TaskKind, default=TaskKind.NUMERIC_MATH.value,
+              show_default=True, help="Answer format.")
+@_enum_option("--method", enum_type=Method, default=Method.ENTRODUCTION.value,
+              show_default=True, help="Method to score.")
+@click.option("--steps", type=int,
+              help=f"Baseline chain length (default {BASELINE_DEFAULTS.steps}).")
+@click.option("--chains", type=int,
+              help=f"Baseline chain count (default {BASELINE_DEFAULTS.chains}).")
+@click.option("--branching", type=int,
+              help=f"Tree branching factor (default {BASELINE_DEFAULTS.branching}).")
+@click.option("--layers", type=int,
+              help=f"Tree layer count (default {BASELINE_DEFAULTS.layers}).")
 @click.option("--strict", is_flag=True, default=False, help="Reject malformed dataset rows.")
 @click.option("--out", default=None, help="Write the report JSON here.")
 @click.option("--trace-out", default=None, help="Write all run traces (JSONL) here.")
-def bench_command(
-    config_path, dataset, task_kind, method_name, steps, chains, branching,
-    layers, strict, out, trace_out, **flags,
-) -> None:
+def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings) -> None:
     """Score a method over a JSONL dataset."""
     try:
-        settings = _settings(config_path, **flags)
-        dataset_path = dataset or settings.get("dataset", None)
-        if not dataset_path:
-            raise ConfigurationError("--dataset is required")
-        kind_name = str(task_kind or settings.get("task_kind", "numeric")).lower()
-        if kind_name not in TASK_KINDS:
-            raise ConfigurationError(f"unknown task kind: {kind_name}")
-        method_key = str(method_name or settings.get("method", "entroduction")).lower()
-        if method_key not in METHODS:
-            raise ConfigurationError(f"unknown method: {method_key}")
         backend = build_backend(settings)
         run_config = build_run_config(settings)
-        params = BaselineParams(
-            steps=steps if steps is not None else int(settings.get("steps", 8, cast=int)),
-            chains=chains if chains is not None else int(settings.get("chains", 3, cast=int)),
-            branching=branching if branching is not None else int(settings.get("branching", 3, cast=int)),
-            layers=layers if layers is not None else int(settings.get("layers", 5, cast=int)),
-        )
+        params = _build(replace, BASELINE_DEFAULTS, **_given(settings, BaselineParams))
     except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
     try:
-        tasks = load_dataset(dataset_path, TASK_KINDS[kind_name], strict=strict)
+        tasks = load_dataset(dataset, task_kind, strict=strict)
     except DatasetError as exc:
         click.echo(f"dataset error: {exc}", err=True)
         sys.exit(EXIT_DATASET)
@@ -279,7 +271,7 @@ def bench_command(
 
     try:
         report = run_benchmark(
-            METHODS[method_key], tasks, backend,
+            method, tasks, backend,
             run_config=run_config, params=params, on_result=on_result,
         )
     except BackendError as exc:

@@ -127,9 +127,9 @@ class RunConfig:
     token_entropy_mode: TokenEntropyMode = TokenEntropyMode.CONTRIBUTION
     answer_marker: str = DEFAULT_ANSWER_MARKER
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
-    temperature: float = 0.7
-    max_tokens: int = 128
-    top_logprobs: int = 5
+    temperature: float = GenerationRequest.temperature
+    max_tokens: int = GenerationRequest.max_tokens
+    top_logprobs: int = GenerationRequest.top_logprobs
     elicit_final_answer: bool = True
 
     def __post_init__(self) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -157,7 +156,6 @@ def run_benchmark(
     backend: Backend,
     run_config: RunConfig | None = None,
     params: BaselineParams | None = None,
-    workers: int = 1,
     on_result: Callable[[TaskInstance, RunResult], None] | None = None,
 ) -> BenchmarkReport:
     """Score ``method`` on ``tasks``.
@@ -165,27 +163,17 @@ def run_benchmark(
     ``on_result`` receives each completed adaptive run (for trace export).
     Within a task, independent backend calls go out together, up to the
     backend's ``max_in_flight`` (see ``engine.generate_all``); results do
-    not depend on it. ``workers > 1`` also runs tasks concurrently; use it
-    only with a backend whose responses do not depend on call order. A
-    backend error ends only its own task, recorded with ``error`` set.
+    not depend on it. Tasks run one after another. A backend error ends
+    only its own task, recorded with ``error`` set.
     """
     if not tasks:
         raise ValueError("empty task list")
     run_config = run_config or RunConfig()
     params = params or BaselineParams()
 
-    if workers <= 1:
-        records = [
-            _run_one(task, method, run_config, params, backend, on_result)
-            for task in tasks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_one, task, method, run_config, params, backend, on_result)
-                for task in tasks
-            ]
-            records = [f.result() for f in futures]
+    records = [
+        _run_one(task, method, run_config, params, backend, on_result) for task in tasks
+    ]
 
     correct = sum(1 for r in records if r.correct)
     total_steps = sum(r.steps for r in records)

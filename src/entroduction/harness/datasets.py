@@ -43,6 +43,8 @@ class TaskInstance:
         object.__setattr__(self, "options", tuple(self.options))
         if not self.gold_answer:
             raise ValueError("gold_answer must be non-empty")
+        if not self.question.strip():
+            raise ValueError("question must be non-empty")
 
 
 def extract_gold_answer(answer: str) -> str:

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from helpers import A60, UNIFORM4, make_step
 from mock_server import ChatCompletionsMock, completion_payload
+from entroduction import cli
 from entroduction.backends import dump_fixture
 from entroduction.cli import main
+from entroduction.engine import RunConfig
+from entroduction.harness import BaselineMethod, Method, TaskKind, math_params
+from entroduction.policy import PolicyConfig
 
 
 def write_dataset(path, rows):
@@ -25,6 +30,25 @@ def answer_fixture(path, answers, steps_before=1):
             steps.append(make_step(f"thinking {i}", UNIFORM4))
         steps.append(make_step(f"The answer is {answer}", A60))
     dump_fixture(steps, path)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Record the arguments of the calls the CLI makes into the library."""
+    seen = {}
+    for name in ("run_task", "run_benchmark", "load_dataset"):
+        def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            seen[_name] = (args, kwargs)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    return seen
+
+
+def assert_config_exit(result):
+    """Exit 1 through the CLI's own error handling, with no traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
 
 
 class TestRunCommand:
@@ -182,6 +206,99 @@ class TestConfigFile:
         config.write_text("not a pair\n", encoding="utf-8")
         result = CliRunner().invoke(main, ["run", "q", "--config", str(config)])
         assert result.exit_code == 1
+
+    def test_bench_file_values_reach_command(self, tmp_path, calls):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "is it?", "answer": "yes"}])
+        config = tmp_path / "bench.conf"
+        config.write_text(
+            f"expand=off\nmethod=COT\ntask_kind=boolean\ndataset={dataset}\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(main, ["bench", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert calls["load_dataset"][0] == (str(dataset), TaskKind.BOOLEAN)
+        (method, _, _), kwargs = calls["run_benchmark"]
+        assert method is Method.COT
+        assert kwargs["run_config"].policy.expand_enabled is False
+
+    def test_flag_overrides_file_value(self, tmp_path, calls):
+        config = tmp_path / "run.conf"
+        config.write_text("expand=off\nmetric_mode=entropy\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["run", "q", "--config", str(config), "--expand"]
+        )
+        assert result.exit_code == 0, result.output
+        policy = calls["run_task"][0][1].policy
+        assert policy.expand_enabled is True
+        assert policy.metric_mode.value == "entropy"
+
+
+class TestDefaults:
+    def test_no_flags_build_dataclass_defaults(self, tmp_path, calls):
+        result = CliRunner().invoke(main, ["run", "q"])
+        assert result.exit_code == 0, result.output
+        config = calls["run_task"][0][1]
+        assert config == RunConfig()
+        assert config.policy == PolicyConfig()
+
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "1"}])
+        result = CliRunner().invoke(main, ["bench", "--dataset", str(dataset)])
+        assert result.exit_code == 0, result.output
+        (method, _, _), kwargs = calls["run_benchmark"]
+        assert method is Method.ENTRODUCTION
+        assert kwargs["run_config"] == RunConfig()
+        assert kwargs["params"] == math_params(BaselineMethod.COT_SC)
+
+    def test_help_shows_dataclass_defaults(self):
+        result = CliRunner().invoke(main, ["bench", "--help"])
+        assert result.exit_code == 0, result.output
+        text = " ".join(result.output.split())
+        assert f"Step budget (default {RunConfig().max_steps})" in text
+        assert f"Baseline chain count (default {math_params(BaselineMethod.COT_SC).chains})" in text
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["run", "q", "--max-steps", "abc"],
+        ["run", "q", "--metric-mode", "foo"],
+        ["run", "q", "--backend", "nope"],
+        ["bench", "--dataset", "d.jsonl", "--method", "nope"],
+        ["bench"],
+        ["nope"],
+    ])
+    def test_bad_flag_exits_1(self, args):
+        assert_config_exit(CliRunner().invoke(main, args))
+
+    @pytest.mark.parametrize("line", ["max_steps=abc", "expand=maybe", "metric_mode=foo"])
+    def test_bad_file_value_exits_1(self, tmp_path, line):
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", "q", "--config", str(config)])
+        assert_config_exit(result)
+
+    def test_choices_ignore_case(self, calls):
+        result = CliRunner().invoke(main, ["run", "q", "--metric-mode", "NONE"])
+        assert result.exit_code == 0, result.output
+        assert calls["run_task"][0][1].policy.metric_mode.value == "none"
+
+    @pytest.mark.parametrize("flag", ["--steps", "--chains", "--branching", "--layers"])
+    def test_zero_baseline_shape_is_config_error(self, tmp_path, flag):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "1"}])
+        result = CliRunner().invoke(main, ["bench", "--dataset", str(dataset), flag, "0"])
+        assert_config_exit(result)
+        assert "configuration error: baseline parameters must be >= 1" in result.output
+
+    @pytest.mark.parametrize("args,message", [
+        (["--epsilon", "2"], "epsilon must be in [0, 1]"),
+        (["--schedule", ""], "bad schedule"),
+    ])
+    def test_rejected_setting_is_config_error(self, args, message):
+        result = CliRunner().invoke(main, ["run", "q", *args])
+        assert_config_exit(result)
+        assert f"configuration error: {message}" in result.output
 
 
 class TestTraceCommand:

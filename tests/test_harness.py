@@ -75,6 +75,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetError):
             load_dataset(path, TaskKind.NUMERIC_MATH, strict=True)
 
+    @pytest.mark.parametrize("question", ["", "   \n\t"], ids=["empty", "whitespace"])
+    def test_empty_question_rejected(self, tmp_path, caplog, question):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [
+            {"id": "1", "question": "q1", "answer": "4"},
+            {"id": "2", "question": question, "answer": "5"},
+        ])
+        with caplog.at_level("WARNING"):
+            tasks = load_dataset(path, TaskKind.NUMERIC_MATH)
+        assert [t.id for t in tasks] == ["1"]
+        assert any("question must be non-empty" in r.message for r in caplog.records)
+        with pytest.raises(DatasetError, match=":2:.*question must be non-empty"):
+            load_dataset(path, TaskKind.NUMERIC_MATH, strict=True)
+
     def test_gold_marker_extraction(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{
