@@ -8,7 +8,6 @@ formula and control path testable without a model.
 
 from .metrics import (
     StepMetrics,
-    TokenEntropyMode,
     TokenRecord,
     compute_step_metrics,
     normalized_step_entropy,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TokenRecord",
     "StepMetrics",
-    "TokenEntropyMode",
     "step_softmax",
     "step_entropy",
     "normalized_step_entropy",

@@ -189,8 +189,8 @@ class OpenAIChatBackend:
 
     @staticmethod
     def _parse_tokens(content: list) -> tuple[TokenRecord, ...]:
-        """Token records from a logprobs payload; a missing or non-finite
-        logprob, chosen or alternative, is a BackendError."""
+        """Token records from a logprobs payload; a missing, non-finite or
+        float-overflowing logprob, chosen or alternative, is a BackendError."""
         records = []
         try:
             for item in content:
@@ -211,7 +211,7 @@ class OpenAIChatBackend:
                         top_alternatives=alternatives,
                     )
                 )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise BackendError(f"malformed logprob entry: {exc!r}") from exc
         return tuple(records)
 

@@ -73,7 +73,7 @@ def load_fixture(path: str | Path) -> list[StepGeneration]:
                 continue
             try:
                 steps.append(step_from_json(json.loads(line)))
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise BackendError(f"bad fixture line {line_number}: {exc}") from exc
     return steps
 

@@ -42,13 +42,17 @@ def logits_for_normalized_entropy(
     process, keyed by ``(target, n_tokens, tolerance)``, so each distinct
     target is bisected once.
     """
+    _check_target(target, n_tokens)
+    if target == 1.0:
+        return (0.0,) * n_tokens
+    return (_solve(target, n_tokens, tolerance),) + (0.0,) * (n_tokens - 1)
+
+
+def _check_target(target: float, n_tokens: int) -> None:
     if n_tokens < 2:
         raise ValueError("need at least two tokens to target an entropy")
     if not 0.0 < target <= 1.0:
         raise ValueError("target normalized entropy must be in (0, 1]")
-    if target == 1.0:
-        return (0.0,) * n_tokens
-    return (_solve(target, n_tokens, tolerance),) + (0.0,) * (n_tokens - 1)
 
 
 @functools.cache
@@ -93,6 +97,8 @@ class SyntheticStep:
             )
         if self.logprobs is not None:
             object.__setattr__(self, "logprobs", tuple(float(v) for v in self.logprobs))
+        else:
+            _check_target(self.target_normalized_entropy, self.n_tokens)
 
 
 def _chunk_text(text: str, n: int) -> list[str]:

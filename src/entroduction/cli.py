@@ -206,7 +206,7 @@ def run_command(task, out, summary_out, **settings) -> None:
     try:
         backend = build_backend(settings)
         config = build_run_config(settings)
-        result = run_task(task, config, backend)
+        result = _build(run_task, task, config, backend)
     except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -256,6 +256,9 @@ def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings
     except ConfigurationError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    except BackendError as exc:
+        click.echo(f"backend failure: {exc}", err=True)
+        sys.exit(EXIT_BACKEND)
 
     try:
         tasks = load_dataset(dataset, task_kind, strict=strict)

@@ -54,11 +54,7 @@ from .backends.base import (
     detect_answer_marker,
     render_conclusion_prompt,
 )
-from .metrics import (
-    StepMetrics,
-    TokenEntropyMode,
-    compute_step_metrics,
-)
+from .metrics import StepMetrics, compute_step_metrics
 from .policy import (
     Action,
     Decision,
@@ -124,7 +120,6 @@ class RunConfig:
     max_steps: int = 16
     max_chains: int = 16
     policy: PolicyConfig = field(default_factory=PolicyConfig)
-    token_entropy_mode: TokenEntropyMode = TokenEntropyMode.CONTRIBUTION
     answer_marker: str = DEFAULT_ANSWER_MARKER
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
     temperature: float = GenerationRequest.temperature
@@ -297,7 +292,7 @@ class _Runner:
     def make_node(self, chain: Chain, generation: StepGeneration) -> ReasoningNode:
         if not generation.tokens:
             raise BackendError("empty step")
-        metrics = compute_step_metrics(generation.tokens, self.config.token_entropy_mode)
+        metrics = compute_step_metrics(generation.tokens)
         node = ReasoningNode(
             id=self.structure.allocate_node_id(),
             step_index=len(chain.nodes) + 1,
@@ -471,5 +466,6 @@ def run_task(task: str, config: RunConfig, backend: Backend) -> RunResult:
     the next iteration. Calls made together (see ``generate_all``) change
     timing, not results. A fatal backend error aborts the run and returns the
     partial trace with ``aborted`` set; no worker thread outlives the call.
+    A blank task raises ValueError before any backend call.
     """
     return _Runner(task, config, backend).run()

@@ -56,9 +56,13 @@ def extract_gold_answer(answer: str) -> str:
 
 
 def _parse_row(obj: dict, task_kind: TaskKind) -> TaskInstance:
-    missing = [key for key in ("id", "question", "answer") if key not in obj]
+    missing = [
+        key for key in ("id", "question", "answer") if key not in obj or obj[key] is None
+    ]
     if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
+        raise ValueError(f"missing or null fields: {', '.join(missing)}")
+    if not isinstance(obj["question"], str):
+        raise ValueError("question must be a string")
     options = obj.get("options") or ()
     return TaskInstance(
         id=str(obj["id"]),

@@ -3,20 +3,22 @@
 A reasoning step is a sentence made of sampled tokens. Each token carries the
 log-probability the model assigned to it at its position. Treating those
 log-probabilities as the step's logit vector, a softmax turns them into a
-distribution over the step's positions, from which we compute:
+distribution p over the step's positions, from which we compute:
 
-* step entropy (bits): Shannon entropy of that distribution,
+* step entropy (bits): Shannon entropy of p,
 * normalized entropy: step entropy divided by its maximum log2(n),
-* a per-token entropy series (three selectable definitions),
+* the per-token series: each position's contribution -p*log2(p), so the
+  series sums to the step entropy and its mean is entropy/n,
 * variance entropy: the population variance of that series,
 * normalized variance entropy: variance entropy divided by log2(n).
 
-All logarithms are base 2. All functions here are pure and thread-safe.
+``compute_step_metrics`` derives all of them from one softmax and one pass
+over the -p*log2(p) terms. All logarithms are base 2. All functions here are
+pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -24,7 +26,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "TokenEntropyMode",
     "TokenRecord",
     "StepMetrics",
     "step_softmax",
@@ -35,24 +36,6 @@ __all__ = [
     "normalized_variance_entropy",
     "compute_step_metrics",
 ]
-
-
-class TokenEntropyMode(enum.Enum):
-    """Definition used for the per-token entropy series.
-
-    CONTRIBUTION: each token contributes -p*log2(p) of the step distribution,
-        so the series sums to the step entropy and its mean is entropy/n.
-    SURPRISAL: each token's information content -log2(p).
-    VOCAB_TOP_K: Shannon entropy of the renormalized top-K alternative
-        distribution reported for that position; requires alternatives.
-    """
-
-    CONTRIBUTION = "contribution"
-    SURPRISAL = "surprisal"
-    VOCAB_TOP_K = "vocab_top_k"
-
-
-DEFAULT_TOKEN_ENTROPY_MODE = TokenEntropyMode.CONTRIBUTION
 
 
 @dataclass(frozen=True)
@@ -95,6 +78,21 @@ class StepMetrics:
     normalized_variance_entropy: float
 
 
+def _entropy_and_contributions(p: np.ndarray) -> tuple[float, np.ndarray]:
+    """Entropy of ``p`` and its per-token terms -p*log2(p), 0 where p = 0.
+
+    The entropy sums the positive entries' p*log2(p) alone and negates the
+    total, so numpy's pairwise grouping and the sign of a zero entropy do
+    not depend on how many probabilities underflowed to 0.
+    """
+    positive = p > 0.0
+    q = p[positive]
+    plogp = q * np.log2(q)
+    series = np.zeros_like(p)
+    series[positive] = -plogp
+    return float(-plogp.sum()), series
+
+
 def step_softmax(logits: Sequence[float] | np.ndarray) -> np.ndarray:
     """Softmax over a step's logit vector, computed with max-subtraction.
 
@@ -121,8 +119,7 @@ def step_entropy(p: Sequence[float] | np.ndarray) -> float:
         raise ValueError("empty step")
     if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > 1e-9:
         raise ValueError("not a distribution")
-    nonzero = arr[arr > 0.0]
-    return float(-(nonzero * np.log2(nonzero)).sum())
+    return _entropy_and_contributions(arr)[0]
 
 
 def normalized_step_entropy(entropy_bits: float, n: int) -> float:
@@ -138,38 +135,13 @@ def normalized_step_entropy(entropy_bits: float, n: int) -> float:
     return entropy_bits / math.log2(n)
 
 
-def token_entropies(
-    p: Sequence[float] | np.ndarray,
-    records: Sequence[TokenRecord],
-    mode: TokenEntropyMode = DEFAULT_TOKEN_ENTROPY_MODE,
-) -> np.ndarray:
-    """Per-token entropy series under the selected definition.
+def token_entropies(p: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Per-token contributions -p*log2(p) of a probability vector.
 
-    In CONTRIBUTION mode the series sums to the step entropy, tying the
-    mean token entropy to entropy/n. VOCAB_TOP_K requires every record to
-    carry top alternatives.
+    The series sums to the step entropy, tying the mean token entropy to
+    entropy/n.
     """
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.size != len(records):
-        raise ValueError(
-            f"probability vector length {arr.size} does not match {len(records)} records"
-        )
-    if mode is TokenEntropyMode.CONTRIBUTION:
-        out = np.zeros_like(arr)
-        mask = arr > 0.0
-        out[mask] = -arr[mask] * np.log2(arr[mask])
-        return out
-    if mode is TokenEntropyMode.SURPRISAL:
-        return -np.log2(arr)
-    if mode is TokenEntropyMode.VOCAB_TOP_K:
-        values = []
-        for record in records:
-            if not record.top_alternatives:
-                raise ValueError("alternatives unavailable")
-            alt_logprobs = [lp for _, lp in record.top_alternatives]
-            values.append(step_entropy(step_softmax(alt_logprobs)))
-        return np.asarray(values, dtype=np.float64)
-    raise ValueError(f"unknown token entropy mode: {mode}")
+    return _entropy_and_contributions(np.asarray(p, dtype=np.float64))[1]
 
 
 def variance_entropy(token_entropy_values: Sequence[float] | np.ndarray) -> float:
@@ -193,30 +165,28 @@ def normalized_variance_entropy(var: float, n: int) -> float:
     return var / math.log2(n)
 
 
-def compute_step_metrics(
-    records: Sequence[TokenRecord] | Iterable[TokenRecord],
-    mode: TokenEntropyMode = DEFAULT_TOKEN_ENTROPY_MODE,
-) -> StepMetrics:
+def compute_step_metrics(records: Iterable[TokenRecord]) -> StepMetrics:
     """All entropy quantities for one step, from its token records.
 
     The sampled tokens' log-probabilities serve as the step's logit vector;
     raw logits are not observable through inference APIs, and the softmax
-    absorbs any per-step constant shift.
+    absorbs any per-step constant shift. ``TokenRecord`` guarantees finite
+    logprobs, so nothing built here is checked again.
     """
-    records = list(records)
-    if not records:
+    logits = np.array([r.chosen_logprob for r in records], dtype=np.float64)
+    n = logits.size
+    if n == 0:
         raise ValueError("empty step")
-    logits = np.asarray([r.chosen_logprob for r in records], dtype=np.float64)
-    probabilities = step_softmax(logits)
-    n = len(records)
-    entropy = step_entropy(probabilities)
-    series = token_entropies(probabilities, records, mode)
-    var = variance_entropy(series)
+    weights = np.exp(logits - logits.max())
+    entropy, series = _entropy_and_contributions(weights / weights.sum())
+    mean = series.sum() / n
+    # The population variance, computed term for term as np.var does.
+    var = float(((series - mean) ** 2).sum() / n)
     return StepMetrics(
         n=n,
         entropy_bits=entropy,
         normalized_entropy=normalized_step_entropy(entropy, n),
-        mean_token_entropy=float(series.mean()),
+        mean_token_entropy=float(mean),
         variance_entropy=var,
         normalized_variance_entropy=normalized_variance_entropy(var, n),
     )

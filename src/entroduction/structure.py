@@ -179,8 +179,9 @@ class ReasoningStructure:
 
 
 def create_structure(task: str, max_chains: int) -> ReasoningStructure:
-    """A fresh structure with one active, empty chain."""
-    if not task:
+    """A fresh structure with one active, empty chain; the task must not be
+    blank."""
+    if not task.strip():
         raise ValueError("empty task")
     if max_chains < 1:
         raise ValueError("max_chains must be >= 1")

@@ -96,6 +96,14 @@ class TestScriptedBackend:
         with pytest.raises(BackendError, match="bad fixture line 1"):
             load_fixture(path)
 
+    def test_huge_integer_logprob_is_bad_fixture_line(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        line = {"text": "x", "finish_reason": "stop_sequence",
+                "tokens": [{"text": "x", "logprob": -10**400}]}
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        with pytest.raises(BackendError, match="bad fixture line 1"):
+            load_fixture(path)
+
     def test_reset(self):
         steps = [make_step("s1", UNIFORM4), make_step("s2", UNIFORM4)]
         backend = ScriptedBackend(steps)
@@ -169,6 +177,14 @@ class TestSyntheticBackend:
             SyntheticStep(logprobs=UNIFORM4, target_normalized_entropy=0.5)
         with pytest.raises(ValueError):
             SyntheticBackend([])
+
+    @pytest.mark.parametrize(
+        "target, n_tokens",
+        [(0.0, 8), (1.5, 8), (-0.2, 8), (float("nan"), 8), (0.5, 1)],
+    )
+    def test_bad_target_rejected_at_construction(self, target, n_tokens):
+        with pytest.raises(ValueError):
+            SyntheticStep(target_normalized_entropy=target, n_tokens=n_tokens)
 
 
 class TestLogitsForTarget:

@@ -119,6 +119,22 @@ class TestBenchCommand:
         report = json.loads(report_path.read_text())
         assert report["accuracy"] == 1.0
 
+    def test_bench_bad_fixture_is_backend_failure(self, tmp_path):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "1"}])
+        fixture = tmp_path / "fixture.jsonl"
+        line = {"text": "x", "finish_reason": "stop_sequence",
+                "tokens": [{"text": "x", "logprob": -10**400}]}
+        fixture.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main,
+            ["bench", "--dataset", str(dataset), "--backend", "scripted",
+             "--fixture", str(fixture)],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "backend failure: bad fixture line 1" in result.output
+
     def test_bench_missing_dataset_flag(self):
         result = CliRunner().invoke(main, ["bench"])
         assert result.exit_code == 1
@@ -294,11 +310,19 @@ class TestUsageErrors:
     @pytest.mark.parametrize("args,message", [
         (["--epsilon", "2"], "epsilon must be in [0, 1]"),
         (["--schedule", ""], "bad schedule"),
+        (["--schedule", "1.5"], "bad schedule"),
+        (["--schedule", "0"], "bad schedule"),
     ])
     def test_rejected_setting_is_config_error(self, args, message):
         result = CliRunner().invoke(main, ["run", "q", *args])
         assert_config_exit(result)
         assert f"configuration error: {message}" in result.output
+
+    @pytest.mark.parametrize("task", ["", "   "], ids=["empty", "whitespace"])
+    def test_blank_task_is_config_error(self, task):
+        result = CliRunner().invoke(main, ["run", task])
+        assert_config_exit(result)
+        assert "configuration error: empty task" in result.output
 
 
 class TestTraceCommand:

@@ -89,6 +89,34 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=":2:.*question must be non-empty"):
             load_dataset(path, TaskKind.NUMERIC_MATH, strict=True)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"id": None, "question": "q2", "answer": "5"}, "null fields: id"),
+            ({"id": "2", "question": None, "answer": "5"}, "null fields: question"),
+            ({"id": "2", "question": "q2", "answer": None}, "null fields: answer"),
+            ({"id": "2", "question": 7, "answer": "7"}, "question must be a string"),
+            ({"id": "2", "question": ["q"], "answer": "5"}, "question must be a string"),
+        ],
+        ids=["null id", "null question", "null answer", "numeric question", "list question"],
+    )
+    def test_null_or_non_string_field_rejected(self, tmp_path, caplog, row, message):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": "1", "question": "q1", "answer": "4"}, row])
+        with caplog.at_level("WARNING"):
+            tasks = load_dataset(path, TaskKind.NUMERIC_MATH)
+        assert [t.id for t in tasks] == ["1"]
+        assert any(message in r.message for r in caplog.records)
+        with pytest.raises(DatasetError, match=f":2:.*{message}"):
+            load_dataset(path, TaskKind.NUMERIC_MATH, strict=True)
+
+    def test_numeric_answer_loads(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": 3, "question": "q", "answer": 42}])
+        assert load_dataset(path, TaskKind.NUMERIC_MATH, strict=True) == [
+            TaskInstance("3", "q", "42", TaskKind.NUMERIC_MATH)
+        ]
+
     def test_gold_marker_extraction(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from helpers import EXPAND_SCHEDULE, synthetic_schedule
@@ -29,11 +32,31 @@ from entroduction.harness import (
     TaskKind,
     run_benchmark,
 )
-from entroduction.metrics import compute_step_metrics
+from entroduction.metrics import TokenRecord, compute_step_metrics
 from entroduction.policy import PolicyConfig
 
 THREE_TOKENS = [("Add ", -0.2), ("the ", -1.6), ("numbers.", -0.7)]
 RATE_LIMITED = (429, {"error": "rate limited"})
+# A JSON integer too large for a float: float() raises OverflowError.
+HUGE = 10**400
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+logprob_values = (
+    st.floats(max_value=1.0) | st.sampled_from([HUGE, -HUGE, 0, -3]) | json_values
+)
+alternative_entries = st.fixed_dictionaries(
+    {"token": json_values, "logprob": logprob_values}
+) | json_values
+token_entries = st.fixed_dictionaries(
+    {"token": st.text(max_size=5) | json_values, "logprob": logprob_values},
+    optional={"top_logprobs": st.lists(alternative_entries, max_size=3) | json_values},
+) | json_values
+logprob_content = st.lists(token_entries, max_size=4) | json_values
 
 
 def make_backend(mock, **kwargs) -> OpenAIChatBackend:
@@ -118,11 +141,42 @@ class TestParsing:
             {"token": "x", "logprob": -0.1,
              "top_logprobs": [{"token": "y", "logprob": float("-inf")}]},
             {"token": "x", "logprob": -0.1, "top_logprobs": [{"token": "y"}]},
+            {"token": "x", "logprob": -HUGE},
+            {"token": "x", "logprob": HUGE},
+            {"token": "x", "logprob": -0.1,
+             "top_logprobs": [{"token": "y", "logprob": -HUGE}]},
         ],
     )
     def test_bad_logprob_rejected(self, entry):
         with pytest.raises(BackendError):
             OpenAIChatBackend._parse_tokens([entry])
+
+    @given(logprob_content)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_valid_records_or_backend_error(self, content):
+        try:
+            records = OpenAIChatBackend._parse_tokens(content)
+        except BackendError:
+            return
+        for record in records:
+            assert isinstance(record, TokenRecord)
+            assert math.isfinite(record.chosen_logprob) and record.chosen_logprob <= 0.0
+            for _, lp in record.top_alternatives or ():
+                assert math.isfinite(lp) and lp <= 0.0
+
+    def test_huge_integer_logprob_ends_only_its_task(self):
+        huge = completion_payload([("x", -HUGE)])
+        tasks = [TaskInstance(f"t{i}", f"q{i}", "4", TaskKind.NUMERIC_MATH) for i in (1, 2)]
+        good = completion_payload([("The answer is 4", -0.05)])
+        with ChatCompletionsMock([huge, huge, good]) as mock:
+            backend = make_backend(mock)
+            assert run_task("q", RunConfig(), backend).aborted
+            report = run_benchmark(
+                Method.COT, tasks, backend, params=BaselineParams(steps=1)
+            )
+        assert "OverflowError" in report.records[0].error
+        assert not report.records[0].correct
+        assert report.records[1].correct and report.records[1].error is None
 
     def test_bad_logprob_ends_only_its_task(self):
         payload = completion_payload([("x", float("nan"))])

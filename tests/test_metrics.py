@@ -17,7 +17,6 @@ import oracle
 from helpers import make_records, shifted_logprobs
 from entroduction.metrics import (
     StepMetrics,
-    TokenEntropyMode,
     TokenRecord,
     compute_step_metrics,
     normalized_step_entropy,
@@ -121,47 +120,15 @@ class TestNormalizedEntropy:
 
 class TestTokenEntropies:
     def test_contribution_symmetric(self):
-        records = make_records([0.0, 0.0])
-        np.testing.assert_allclose(
-            token_entropies([0.5, 0.5], records, TokenEntropyMode.CONTRIBUTION),
-            [0.5, 0.5],
-            atol=1e-15,
-        )
+        np.testing.assert_allclose(token_entropies([0.5, 0.5]), [0.5, 0.5], atol=1e-15)
 
     def test_contribution_two_logit(self):
-        records = make_records([2.0, 0.0])
-        values = token_entropies(P_TWO, records, TokenEntropyMode.CONTRIBUTION)
+        values = token_entropies(P_TWO)
         np.testing.assert_allclose(values, CONTRIB_TWO, rtol=1e-12)
         assert values.sum() == pytest.approx(H_TWO, rel=1e-12)
 
-    def test_surprisal(self):
-        records = make_records([0.0, 0.0])
-        np.testing.assert_allclose(
-            token_entropies([0.5, 0.5], records, TokenEntropyMode.SURPRISAL),
-            [1.0, 1.0],
-            atol=1e-15,
-        )
-
-    def test_vocab_top_k(self):
-        alts = (
-            (("a", -0.5), ("b", -1.5)),
-            (("c", -0.1), ("d", -3.0)),
-        )
-        records = make_records([0.0, 0.0], alternatives=alts)
-        values = token_entropies([0.5, 0.5], records, TokenEntropyMode.VOCAB_TOP_K)
-        expected = [
-            float(v) for v in oracle.topk_entropies_ref([[-0.5, -1.5], [-0.1, -3.0]])
-        ]
-        np.testing.assert_allclose(values, expected, rtol=1e-12)
-
-    def test_vocab_top_k_requires_alternatives(self):
-        records = make_records([0.0, 0.0])
-        with pytest.raises(ValueError, match="alternatives unavailable"):
-            token_entropies([0.5, 0.5], records, TokenEntropyMode.VOCAB_TOP_K)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            token_entropies([1.0], make_records([0.0, 0.0]), TokenEntropyMode.CONTRIBUTION)
+    def test_zero_probability_contributes_zero(self):
+        np.testing.assert_array_equal(token_entropies([1.0, 0.0]), [0.0, 0.0])
 
 
 class TestVarianceEntropy:
@@ -240,15 +207,6 @@ class TestComputeStepMetrics:
         for field in ref:
             assert oracle.close(getattr(m, field), ref[field], rel=1e-9)
 
-    def test_surprisal_mode_oracle(self):
-        records = tuple(
-            TokenRecord(f"t{i}", lp) for i, lp in enumerate([-0.2, -1.6, -0.7])
-        )
-        m = compute_step_metrics(records, TokenEntropyMode.SURPRISAL)
-        ref = oracle.metrics_ref([-0.2, -1.6, -0.7], mode="surprisal")
-        for field in ref:
-            assert oracle.close(getattr(m, field), ref[field], rel=1e-9)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty step"):
             compute_step_metrics(())
@@ -260,11 +218,7 @@ class TestComputeStepMetrics:
             logits = rng.uniform(-6, 0, size=n)
             records = make_records(logits)
             m = compute_step_metrics(records)
-            series = token_entropies(
-                step_softmax([r.chosen_logprob for r in records]),
-                records,
-                TokenEntropyMode.CONTRIBUTION,
-            )
+            series = token_entropies(step_softmax([r.chosen_logprob for r in records]))
             assert abs(series.sum() - m.entropy_bits) <= 1e-9
             assert m.mean_token_entropy == pytest.approx(m.entropy_bits / n, rel=1e-9)
             assert 0.0 <= m.normalized_entropy <= 1.0 + 1e-12
@@ -293,6 +247,130 @@ class TestComputeStepMetrics:
             ref = oracle.metrics_ref(logprobs)
             for field, expected in ref.items():
                 assert oracle.close(getattr(m, field), expected, rel=1e-9), field
+
+
+def sawtooth(n: int, step: float, span: float) -> list[float]:
+    return [-((i * step) % span) for i in range(n)]
+
+
+# Fixed steps and their StepMetrics, recorded as float.hex with the
+# earlier kernel (separate step_entropy / token_entropies / np.var calls).
+# Any rewrite of compute_step_metrics must reproduce every bit, including
+# the sign of a zero entropy.
+PINNED_STEPS = {
+    "n1": [-0.7],
+    "n2": [-0.1, -2.4],
+    "n8": sawtooth(8, 0.7316, 5.0),
+    "n9": sawtooth(9, 1.1137, 7.5),
+    "n32": sawtooth(32, 0.4219, 9.0),
+    "n128": sawtooth(128, 0.2473, 12.0),
+    "tied": [-2.0] * 5,
+    "tied_pairs": [-0.25, -0.25, -1.5, -1.5, -4.0, -4.0],
+    "underflow": [0.0, -800.0, -0.5, -800.0, -3.0],
+    "underflow_n40": [
+        -800.0 if i % 3 == 1 else -((i * 0.6131) % 6.0) for i in range(40)
+    ],
+}
+PINNED_METRICS = {
+    "n1": (
+        1,
+        "-0x0.0p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "n2": (
+        2,
+        "0x1.c2c5a2fd0fe22p-2",
+        "0x1.c2c5a2fd0fe22p-2",
+        "0x1.c2c5a2fd0fe22p-3",
+        "0x1.269e80c53e586p-7",
+        "0x1.269e80c53e586p-7",
+    ),
+    "n8": (
+        8,
+        "0x1.171a8ca61e782p+1",
+        "0x1.74236632d34adp-1",
+        "0x1.171a8ca61e782p-2",
+        "0x1.2c1b71ab720ebp-5",
+        "0x1.9024978f42be4p-7",
+    ),
+    "n9": (
+        9,
+        "0x1.0d9aaa04e8868p+1",
+        "0x1.5433db85e94f7p-1",
+        "0x1.df4bd8ec480b9p-3",
+        "0x1.4b235ac3c36f0p-5",
+        "0x1.a1d98a27ee8cep-7",
+    ),
+    "n32": (
+        32,
+        "0x1.d127a16fdc284p+1",
+        "0x1.741fb4597ced0p-1",
+        "0x1.d127a16fdc284p-4",
+        "0x1.26c12f1871130p-6",
+        "0x1.d79b7e8d81b80p-9",
+    ),
+    "n128": (
+        128,
+        "0x1.42703f73d9522p+2",
+        "0x1.708048846614bp-1",
+        "0x1.42703f73d9522p-5",
+        "0x1.2ff77802143e3p-8",
+        "0x1.5b63f6ddcdfdfp-11",
+    ),
+    "tied": (
+        5,
+        "0x1.2934f0979a371p+1",
+        "0x1.0000000000000p+0",
+        "0x1.db87e758f6be8p-2",
+        "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "tied_pairs": (
+        6,
+        "0x1.e190c8cd91640p+0",
+        "0x1.749708f821282p-1",
+        "0x1.410b30890b980p-2",
+        "0x1.31f3360e0d40cp-5",
+        "0x1.d96e37677ed58p-7",
+    ),
+    "underflow": (
+        5,
+        "0x1.1f4a61a2e9428p+0",
+        "0x1.eeeacf4114227p-2",
+        "0x1.cbaa35d175373p-3",
+        "0x1.9329475cce984p-5",
+        "0x1.5b43a245a31c4p-6",
+    ),
+    "underflow_n40": (
+        40,
+        "0x1.c57f949e4cce0p+1",
+        "0x1.54da49236e0dcp-1",
+        "0x1.6acc76e50a3e6p-4",
+        "0x1.157448e429a21p-6",
+        "0x1.a112c12407d52p-9",
+    ),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("name", sorted(PINNED_STEPS))
+    def test_fields_bit_identical(self, name):
+        records = [TokenRecord(f"t{i}", lp) for i, lp in enumerate(PINNED_STEPS[name])]
+        m = compute_step_metrics(records)
+        observed = (m.n,) + tuple(
+            getattr(m, field).hex()
+            for field in (
+                "entropy_bits",
+                "normalized_entropy",
+                "mean_token_entropy",
+                "variance_entropy",
+                "normalized_variance_entropy",
+            )
+        )
+        assert observed == PINNED_METRICS[name]
 
 
 class TestTokenRecordValidation:

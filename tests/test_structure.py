@@ -57,6 +57,11 @@ class TestCreate:
         with pytest.raises(ValueError, match="empty task"):
             create_structure("", 4)
 
+    @pytest.mark.parametrize("task", [" ", "\t\n  "])
+    def test_blank_task_rejected(self, task):
+        with pytest.raises(ValueError, match="empty task"):
+            create_structure(task, 4)
+
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError, match="max_chains"):
             create_structure("q", 0)
