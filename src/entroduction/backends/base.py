@@ -91,7 +91,7 @@ class StepGeneration:
         if self.text and not self.tokens:
             raise ValueError("non-empty text requires tokens")
         if self.tokens:
-            joined = "".join(t.text for t in self.tokens)
+            joined = "".join([t.text for t in self.tokens])
             if joined != self.text:
                 raise ValueError("token texts must concatenate to the step text")
 

@@ -11,6 +11,7 @@ depends on it.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -74,6 +75,12 @@ class OpenAIChatBackend:
     In-flight requests are bounded by a semaphore of ``max_in_flight``, so
     many chains and tasks can share one backend safely; the engine sends up
     to that many independent calls at once.
+
+    The environment is read once, when the backend is built: proxies (after
+    ``NO_PROXY``), ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE`` and netrc are
+    folded into the session, whose ``trust_env`` is then turned off, so the
+    backend takes over the session it is given. An API key wins over netrc;
+    netrc credentials apply only when no key is given.
     """
 
     def __init__(
@@ -96,13 +103,24 @@ class OpenAIChatBackend:
             raise ConfigurationError("max_in_flight must be >= 1")
         self._url = self._completions_url(endpoint)
         self._model = model
-        self._api_key = api_key
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self._stop = list(stop_sequences)
         self._timeout = timeout
         self._max_attempts = max(1, max_attempts)
         self._retry_backoff = retry_backoff
         self._jitter = random.Random()
         self._session = session or requests.Session()
+        if self._session.trust_env:
+            settings = self._session.merge_environment_settings(
+                self._url, {}, None, None, None
+            )
+            self._session.proxies = settings["proxies"]
+            self._session.verify = settings["verify"]
+            if not api_key and not self._session.auth:
+                self._session.auth = requests.utils.get_netrc_auth(self._url)
+            self._session.trust_env = False
         self._max_in_flight = max_in_flight
         self._in_flight = threading.BoundedSemaphore(max_in_flight)
 
@@ -128,12 +146,6 @@ class OpenAIChatBackend:
         api_key = os.environ.get(API_KEY_ENV) or os.environ.get(FALLBACK_API_KEY_ENV)
         return cls(endpoint=endpoint, model=model, api_key=api_key, **kwargs)
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        return headers
-
     def _payload(self, request: GenerationRequest) -> dict:
         return {
             "model": self._model,
@@ -152,6 +164,7 @@ class OpenAIChatBackend:
         }
 
     def _post(self, payload: dict) -> dict:
+        body = json.dumps(payload).encode()
         last_error: Exception | None = None
         for attempt in range(1, self._max_attempts + 1):
             wait = None
@@ -159,8 +172,8 @@ class OpenAIChatBackend:
                 with self._in_flight:
                     response = self._session.post(
                         self._url,
-                        json=payload,
-                        headers=self._headers(),
+                        data=body,
+                        headers=self._headers,
                         timeout=self._timeout,
                     )
             except requests.RequestException as exc:

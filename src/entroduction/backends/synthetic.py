@@ -103,16 +103,12 @@ class SyntheticStep:
 
 def _chunk_text(text: str, n: int) -> list[str]:
     """Split ``text`` into exactly ``n`` non-empty pieces that concatenate back."""
-    if len(text) < n:
-        text = text + " " * (n - len(text))
+    text = text.ljust(n)
     base, extra = divmod(len(text), n)
-    pieces = []
-    offset = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        pieces.append(text[offset : offset + size])
-        offset += size
-    return pieces
+    cut = extra * (base + 1)
+    return [text[i : i + base + 1] for i in range(0, cut, base + 1)] + [
+        text[i : i + base] for i in range(cut, len(text), base)
+    ]
 
 
 class SyntheticBackend:
@@ -156,10 +152,12 @@ class SyntheticBackend:
 
         text = entry.text or f"synthetic step {index + 1} of the reasoning schedule."
         pieces = _chunk_text(text, len(logprobs))
-        tokens = tuple(
-            TokenRecord(text=piece, chosen_logprob=min(0.0, float(lp)))
-            for piece, lp in zip(pieces, logprobs)
-        )
+        # Equal (piece, logprob) pairs share one record: a target step has
+        # two distinct logprobs and padding repeats one piece. The table
+        # lives for this call only.
+        keys = list(zip(pieces, logprobs.tolist()))
+        shared = {key: TokenRecord(key[0], min(0.0, key[1])) for key in dict.fromkeys(keys)}
+        tokens = tuple(map(shared.__getitem__, keys))
         finish = (
             FinishReason.ANSWER_MARKER
             if detect_answer_marker(text, DEFAULT_ANSWER_MARKER)

@@ -44,7 +44,8 @@ class TokenRecord:
 
     ``chosen_logprob`` is the natural-log probability of the sampled token.
     ``top_alternatives`` optionally holds the top-K per-position alternatives
-    as (token, logprob) pairs, sorted by descending logprob.
+    as (token, logprob) pairs, sorted by descending logprob; any other
+    iterable of pairs is rebuilt as a tuple of ``(str, float)`` pairs.
     """
 
     text: str
@@ -56,14 +57,25 @@ class TokenRecord:
             raise ValueError("non-finite logit")
         if self.chosen_logprob > 0.0:
             raise ValueError(f"chosen_logprob must be <= 0, got {self.chosen_logprob}")
-        if self.top_alternatives is not None:
-            alts = tuple((str(t), float(lp)) for t, lp in self.top_alternatives)
-            for _, lp in alts:
-                if lp > 0.0:
-                    raise ValueError(f"alternative logprob must be <= 0, got {lp}")
-            if any(alts[i][1] < alts[i + 1][1] for i in range(len(alts) - 1)):
-                raise ValueError("alternatives must be sorted by descending logprob")
+        alts = self.top_alternatives
+        if alts is None:
+            return
+        if type(alts) is not tuple or not all(
+            type(pair) is tuple and len(pair) == 2
+            and type(pair[0]) is str and type(pair[1]) is float
+            for pair in alts
+        ):
+            alts = tuple((str(t), float(lp)) for t, lp in alts)
             object.__setattr__(self, "top_alternatives", alts)
+        # One pass: a positive logprob raises at once, disorder after the scan.
+        unsorted, previous = False, math.inf
+        for _, lp in alts:
+            if lp > 0.0:
+                raise ValueError(f"alternative logprob must be <= 0, got {lp}")
+            unsorted = unsorted or lp > previous
+            previous = lp
+        if unsorted:
+            raise ValueError("alternatives must be sorted by descending logprob")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from importlib import resources
@@ -27,6 +28,29 @@ from entroduction.backends import base
 from entroduction.backends.scripted import step_to_json
 from entroduction.backends.synthetic import _solve
 from entroduction.metrics import TokenRecord, compute_step_metrics
+
+
+STEP_TEXT = "Work through the next part of the sum."
+ANSWER_TEXT = "The answer is 42."
+# A target-0.37 step, recorded before equal token records were shared:
+# chosen_logprob.hex() of the first token and of every later token.
+PINNED_TARGET_LOGPROBS = {
+    2: ("-0x1.2e14375d7a1fdp-4", "-0x1.52659cacebd10p+1"),
+    8: ("-0x1.719c9764464fdp-3", "-0x1.df9c468844650p+1"),
+    32: ("-0x1.fcd05189c4a06p-3", "-0x1.3caee94a4e250p+2"),
+    128: ("-0x1.2ba1ab7b32f10p-2", "-0x1.8dd0673db32f1p+2"),
+}
+# First 16 hex digits of the sha256 of the token texts joined by NUL.
+PINNED_PIECES = {
+    (2, STEP_TEXT): "0c1655d836690277",
+    (2, ANSWER_TEXT): "9aff1966e7433ef6",
+    (8, STEP_TEXT): "46a0b85a01c113d5",
+    (8, ANSWER_TEXT): "a6d80bec2aca9ce1",
+    (32, STEP_TEXT): "d9caf62bed937dd1",
+    (32, ANSWER_TEXT): "90bb80e49b4fead2",
+    (128, STEP_TEXT): "1768ffc79ab80b76",
+    (128, ANSWER_TEXT): "f96ffa440ba80ab9",
+}
 
 
 def request(prior=()) -> GenerationRequest:
@@ -160,6 +184,28 @@ class TestSyntheticBackend:
         assert "".join(t.text for t in step.tokens) == step.text
         assert step.finish_reason is FinishReason.ANSWER_MARKER
         assert detect_answer_marker(step.text) == "4"
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    @pytest.mark.parametrize("text", [STEP_TEXT, ANSWER_TEXT])
+    def test_target_step_pinned(self, n, text):
+        entry = SyntheticStep(target_normalized_entropy=0.37, n_tokens=n, text=text)
+        step = SyntheticBackend([entry]).generate_step(request())
+        first, rest = PINNED_TARGET_LOGPROBS[n]
+        assert [t.chosen_logprob.hex() for t in step.tokens] == [first] + [rest] * (n - 1)
+        assert step.text == text.ljust(n)
+        pieces = "\0".join(t.text for t in step.tokens).encode()
+        assert hashlib.sha256(pieces).hexdigest()[:16] == PINNED_PIECES[n, text]
+
+    def test_equal_pieces_share_one_record(self):
+        entry = SyntheticStep(target_normalized_entropy=0.37, n_tokens=32, text=ANSWER_TEXT)
+        backend = SyntheticBackend([entry])
+        tokens = backend.generate_step(request()).tokens
+        padding = tokens[len(ANSWER_TEXT):]
+        assert padding and all(t is padding[0] for t in padding)
+        distinct = {(t.text, t.chosen_logprob) for t in tokens}
+        assert len({id(t) for t in tokens}) == len(distinct) < len(tokens)
+        # The sharing table lives for one call only.
+        assert backend.generate_step(request()).tokens[-1] is not tokens[-1]
 
     def test_keyed_by_depth_not_call_count(self):
         backend = SyntheticBackend(synthetic_schedule([UNIFORM4, A30, P11]))

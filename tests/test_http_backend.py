@@ -6,8 +6,10 @@ import json
 import math
 import threading
 import time
+import urllib.request
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,14 +97,14 @@ class TestRequestShape:
         assert "what is 2+2?" in user["content"]
         assert "first thought" in user["content"]
 
-    def test_api_key_header(self):
-        # The mock ignores headers; this verifies the client does not crash
-        # without a key and sends the bearer when given one.
+    def test_api_key_header(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
         with ChatCompletionsMock([completion_payload(THREE_TOKENS)]) as mock:
-            backend = make_backend(mock, api_key="sk-test")
-            assert backend._headers()["Authorization"] == "Bearer sk-test"
-            backend_no_key = make_backend(mock)
-            assert "Authorization" not in backend_no_key._headers()
+            make_backend(mock, api_key="sk-test").generate_step(step_request())
+            make_backend(mock).generate_step(step_request())
+        assert mock.headers[0]["Authorization"] == "Bearer sk-test"
+        assert "Authorization" not in mock.headers[1]
+        assert mock.headers[0]["Content-Type"] == "application/json"
 
 
 class TestParsing:
@@ -326,6 +328,108 @@ class TestFailures:
                 backend.generate_step(step_request())
             assert len(mock.requests) == 1  # no retry on 4xx other than 429
 
+    @pytest.mark.parametrize("fault", ["reset", "slow"])
+    def test_transport_fault_retried(self, fault):
+        with ChatCompletionsMock(
+            [completion_payload(THREE_TOKENS)], fail_first=1, fault=fault
+        ) as mock:
+            step = make_backend(mock, timeout=0.2).generate_step(step_request())
+            assert step.text == "Add the numbers."
+            assert len(mock.requests) == 2
+
+    @pytest.mark.parametrize(
+        "fault, cause", [("reset", "Connection reset"), ("slow", "Read timed out")]
+    )
+    def test_transport_fault_ends_only_its_task(self, fault, cause):
+        good = completion_payload([("The answer is 4", -0.05)])
+        with ChatCompletionsMock([good], fail_first=2, fault=fault) as mock:
+            backend = make_backend(mock, timeout=0.2, max_attempts=2)
+            with pytest.raises(TransportError, match=f"after 2 attempts: .*{cause}"):
+                backend.generate_step(step_request())
+
+        tasks = [TaskInstance(f"t{i}", f"q{i}", "4", TaskKind.NUMERIC_MATH) for i in (1, 2)]
+        with ChatCompletionsMock([good], fail_first=2, fault=fault) as mock:
+            backend = make_backend(mock, timeout=0.2, max_attempts=2)
+            report = run_benchmark(
+                Method.COT, tasks, backend, params=BaselineParams(steps=1)
+            )
+            assert len(mock.requests) == 3
+        assert "unreachable after 2 attempts" in report.records[0].error
+        assert cause in report.records[0].error
+        assert not report.records[0].correct
+        assert report.records[1].correct and report.records[1].error is None
+
+
+class TestEnvironment:
+    """Proxies, CA bundle and netrc are read once, when the backend is built."""
+
+    @pytest.fixture(autouse=True)
+    def clean_environment(self, monkeypatch, tmp_path):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy",
+                     "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
+
+    def test_http_proxy_and_no_proxy(self, monkeypatch):
+        payload = completion_payload(THREE_TOKENS)
+        with ChatCompletionsMock([payload]) as target, ChatCompletionsMock(
+            [payload]
+        ) as proxy:
+            monkeypatch.setenv("HTTP_PROXY", proxy.endpoint.removesuffix("/v1"))
+            make_backend(target).generate_step(step_request())
+            monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+            make_backend(target).generate_step(step_request())
+        # A proxy receives the absolute URL; the bypassed call goes direct.
+        assert proxy.paths == [target.endpoint + "/chat/completions"]
+        assert target.paths == ["/v1/chat/completions"]
+
+    @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+    def test_ca_bundle_reaches_verify(self, variable, monkeypatch, tmp_path):
+        bundle = tmp_path / "ca.pem"
+        bundle.write_text("")
+        monkeypatch.setenv(variable, str(bundle))
+        verified = []
+
+        class Recording(requests.adapters.HTTPAdapter):
+            def send(self, request, **kwargs):
+                verified.append(kwargs["verify"])
+                return super().send(request, **kwargs)
+
+        session = requests.Session()
+        session.mount("http://", Recording())
+        with ChatCompletionsMock([completion_payload(THREE_TOKENS)]) as mock:
+            backend = make_backend(mock, session=session)
+            backend.generate_step(step_request())
+        assert verified == [str(bundle)]
+        assert session.trust_env is False
+
+    def test_environment_read_once(self, monkeypatch):
+        with ChatCompletionsMock([completion_payload(THREE_TOKENS)]) as mock:
+            backend = make_backend(mock)
+            reads = []
+            monkeypatch.setattr(
+                urllib.request, "getproxies_environment", lambda: reads.append(1) or {}
+            )
+            # A proxy set after construction is not seen: nothing listens there.
+            monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+            for _ in range(3):
+                backend.generate_step(step_request())
+            assert len(mock.requests) == 3
+        assert reads == []
+
+    def test_api_key_beats_netrc(self, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        with ChatCompletionsMock([completion_payload(THREE_TOKENS)]) as mock:
+            make_backend(mock, api_key="sk-test").generate_step(step_request())
+            make_backend(mock).generate_step(step_request())
+        assert [h["Authorization"] for h in mock.headers] == [
+            "Bearer sk-test",
+            "Basic dXNlcjpzZWNyZXQ=",
+        ]
+
 
 class TestSharedPrefix:
     """Expand siblings share their whole prompt, so a prefix-caching server
@@ -406,4 +510,4 @@ class TestConstruction:
         monkeypatch.setenv("ENTRODUCTION_API_KEY", "k")
         backend = OpenAIChatBackend.from_env(model="m")
         assert backend._url == "http://127.0.0.1:1/v1/chat/completions"
-        assert backend._api_key == "k"
+        assert backend._headers["Authorization"] == "Bearer k"

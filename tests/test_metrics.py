@@ -385,3 +385,33 @@ class TestTokenRecordValidation:
     def test_positive_alternative_rejected(self):
         with pytest.raises(ValueError):
             TokenRecord("x", -0.5, top_alternatives=(("a", 0.2),))
+
+    @pytest.mark.parametrize(
+        "chosen, alternatives, message",
+        [
+            (0.1, None, "chosen_logprob must be <= 0, got 0.1"),
+            (float("nan"), None, "non-finite logit"),
+            (-0.5, (("a", 0.2),), "alternative logprob must be <= 0, got 0.2"),
+            (-0.5, (("a", -2.0), ("b", -1.0)),
+             "alternatives must be sorted by descending logprob"),
+            # A positive alternative is reported before an earlier disorder.
+            (-0.5, (("a", -2.0), ("b", -1.0), ("c", 0.5)),
+             "alternative logprob must be <= 0, got 0.5"),
+        ],
+    )
+    def test_error_messages(self, chosen, alternatives, message):
+        with pytest.raises(ValueError) as raised:
+            TokenRecord("x", chosen, top_alternatives=alternatives)
+        assert str(raised.value) == message
+
+    def test_list_alternatives_and_int_logprobs_converted(self):
+        record = TokenRecord("x", -1, top_alternatives=[["a", -1], ("b", -2.5)])
+        assert record.top_alternatives == (("a", -1.0), ("b", -2.5))
+        assert type(record.top_alternatives) is tuple
+        assert all(type(pair) is tuple for pair in record.top_alternatives)
+        assert type(record.top_alternatives[0][1]) is float
+
+    def test_checked_alternatives_kept(self):
+        alternatives = (("a", -1.0), ("b", -1.0), ("c", -3.0))
+        record = TokenRecord("x", -0.5, top_alternatives=alternatives)
+        assert record.top_alternatives is alternatives
