@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Protocol, runtime_checkable
@@ -70,8 +71,8 @@ class GenerationRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prior_steps", tuple(self.prior_steps))
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.top_logprobs < 0:
@@ -91,7 +92,7 @@ class StepGeneration:
         if self.text and not self.tokens:
             raise ValueError("non-empty text requires tokens")
         if self.tokens:
-            joined = "".join([t.text for t in self.tokens])
+            joined = "".join(t.text for t in self.tokens)
             if joined != self.text:
                 raise ValueError("token texts must concatenate to the step text")
 

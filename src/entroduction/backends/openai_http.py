@@ -77,9 +77,11 @@ class OpenAIChatBackend:
     to that many independent calls at once.
 
     The environment is read once, when the backend is built: proxies (after
-    ``NO_PROXY``), ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE`` and netrc are
-    folded into the session, whose ``trust_env`` is then turned off, so the
-    backend takes over the session it is given. An API key wins over netrc;
+    ``NO_PROXY``), ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE`` and netrc for
+    this endpoint are kept on the backend and passed with each call. The
+    backend takes over the session it is given and turns its ``trust_env``
+    off, so a second backend built on the same session reads no environment
+    and sends none of the first one's settings. An API key wins over netrc;
     netrc credentials apply only when no key is given.
     """
 
@@ -112,14 +114,15 @@ class OpenAIChatBackend:
         self._retry_backoff = retry_backoff
         self._jitter = random.Random()
         self._session = session or requests.Session()
+        # Per-call proxies, verify and auth for this URL, read once here.
+        self._proxies, self._verify, self._auth = {}, None, None
         if self._session.trust_env:
             settings = self._session.merge_environment_settings(
                 self._url, {}, None, None, None
             )
-            self._session.proxies = settings["proxies"]
-            self._session.verify = settings["verify"]
+            self._proxies, self._verify = settings["proxies"], settings["verify"]
             if not api_key and not self._session.auth:
-                self._session.auth = requests.utils.get_netrc_auth(self._url)
+                self._auth = requests.utils.get_netrc_auth(self._url)
             self._session.trust_env = False
         self._max_in_flight = max_in_flight
         self._in_flight = threading.BoundedSemaphore(max_in_flight)
@@ -164,7 +167,7 @@ class OpenAIChatBackend:
         }
 
     def _post(self, payload: dict) -> dict:
-        body = json.dumps(payload).encode()
+        body = json.dumps(payload, allow_nan=False).encode()
         last_error: Exception | None = None
         for attempt in range(1, self._max_attempts + 1):
             wait = None
@@ -175,6 +178,9 @@ class OpenAIChatBackend:
                         data=body,
                         headers=self._headers,
                         timeout=self._timeout,
+                        proxies=self._proxies,
+                        verify=self._verify,
+                        auth=self._auth,
                     )
             except requests.RequestException as exc:
                 last_error = exc

@@ -103,12 +103,16 @@ class SyntheticStep:
 
 def _chunk_text(text: str, n: int) -> list[str]:
     """Split ``text`` into exactly ``n`` non-empty pieces that concatenate back."""
-    text = text.ljust(n)
+    if len(text) < n:
+        text = text + " " * (n - len(text))
     base, extra = divmod(len(text), n)
-    cut = extra * (base + 1)
-    return [text[i : i + base + 1] for i in range(0, cut, base + 1)] + [
-        text[i : i + base] for i in range(cut, len(text), base)
-    ]
+    pieces = []
+    offset = 0
+    for i in range(n):
+        size = base + (1 if i < extra else 0)
+        pieces.append(text[offset : offset + size])
+        offset += size
+    return pieces
 
 
 class SyntheticBackend:

@@ -44,8 +44,7 @@ class TokenRecord:
 
     ``chosen_logprob`` is the natural-log probability of the sampled token.
     ``top_alternatives`` optionally holds the top-K per-position alternatives
-    as (token, logprob) pairs, sorted by descending logprob; any other
-    iterable of pairs is rebuilt as a tuple of ``(str, float)`` pairs.
+    as (token, logprob) pairs, sorted by descending logprob.
     """
 
     text: str
@@ -57,16 +56,10 @@ class TokenRecord:
             raise ValueError("non-finite logit")
         if self.chosen_logprob > 0.0:
             raise ValueError(f"chosen_logprob must be <= 0, got {self.chosen_logprob}")
-        alts = self.top_alternatives
-        if alts is None:
+        if self.top_alternatives is None:
             return
-        if type(alts) is not tuple or not all(
-            type(pair) is tuple and len(pair) == 2
-            and type(pair[0]) is str and type(pair[1]) is float
-            for pair in alts
-        ):
-            alts = tuple((str(t), float(lp)) for t, lp in alts)
-            object.__setattr__(self, "top_alternatives", alts)
+        alts = tuple((str(t), float(lp)) for t, lp in self.top_alternatives)
+        object.__setattr__(self, "top_alternatives", alts)
         # One pass: a positive logprob raises at once, disorder after the scan.
         unsorted, previous = False, math.inf
         for _, lp in alts:

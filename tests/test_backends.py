@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from importlib import resources
 from types import SimpleNamespace
@@ -322,6 +323,9 @@ class TestGenerationRequest:
     def test_validation(self):
         with pytest.raises(ValueError):
             GenerationRequest(system_prompt="s", task="t", temperature=-1.0)
+        for temperature in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GenerationRequest(system_prompt="s", task="t", temperature=temperature)
         with pytest.raises(ValueError):
             GenerationRequest(system_prompt="s", task="t", max_tokens=0)
 

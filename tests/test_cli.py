@@ -312,6 +312,9 @@ class TestUsageErrors:
         (["--schedule", ""], "bad schedule"),
         (["--schedule", "1.5"], "bad schedule"),
         (["--schedule", "0"], "bad schedule"),
+        (["--temperature", "-1"], "temperature must be finite and >= 0"),
+        (["--temperature", "nan"], "temperature must be finite and >= 0"),
+        (["--temperature", "inf"], "temperature must be finite and >= 0"),
     ])
     def test_rejected_setting_is_config_error(self, args, message):
         result = CliRunner().invoke(main, ["run", "q", *args])

@@ -430,6 +430,36 @@ class TestEnvironment:
             "Basic dXNlcjpzZWNyZXQ=",
         ]
 
+    def test_backends_sharing_a_session_keep_their_own_settings(
+        self, monkeypatch, tmp_path
+    ):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine localhost login user password secret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        payload = completion_payload(THREE_TOKENS)
+        session = requests.Session()
+        with ChatCompletionsMock([payload]) as target, ChatCompletionsMock(
+            [payload]
+        ) as proxy:
+            monkeypatch.setenv("HTTP_PROXY", proxy.endpoint.removesuffix("/v1"))
+            monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+            other_host = target.endpoint.replace("127.0.0.1", "localhost")
+            proxied = OpenAIChatBackend(other_host, "test-model", session=session)
+            direct = make_backend(target, api_key="sk-test", session=session)
+            proxied.generate_step(step_request())
+            direct.generate_step(step_request())
+        # The first backend's proxy and netrc credentials stay with it.
+        assert proxy.paths == [other_host + "/chat/completions"]
+        assert proxy.headers[0]["Authorization"] == "Basic dXNlcjpzZWNyZXQ="
+        assert target.paths == ["/v1/chat/completions"]
+        assert target.headers[0]["Authorization"] == "Bearer sk-test"
+
+    def test_non_finite_body_never_sent(self):
+        with ChatCompletionsMock([completion_payload(THREE_TOKENS)]) as mock:
+            with pytest.raises(ValueError):
+                make_backend(mock)._post({"temperature": math.nan})
+        assert mock.requests == []
+
 
 class TestSharedPrefix:
     """Expand siblings share their whole prompt, so a prefix-caching server

@@ -410,8 +410,3 @@ class TestTokenRecordValidation:
         assert type(record.top_alternatives) is tuple
         assert all(type(pair) is tuple for pair in record.top_alternatives)
         assert type(record.top_alternatives[0][1]) is float
-
-    def test_checked_alternatives_kept(self):
-        alternatives = (("a", -1.0), ("b", -1.0), ("c", -3.0))
-        record = TokenRecord("x", -0.5, top_alternatives=alternatives)
-        assert record.top_alternatives is alternatives
