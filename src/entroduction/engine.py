@@ -19,28 +19,29 @@ detected answer are asked once more to state one so they can join the vote.
 The run conclusion is the majority vote over chain answers, ties broken by
 the most confident chain (lowest mean normalized step entropy).
 
-Backend calls that do not depend on each other go out together through
-``generate_all``: every step call of an iteration, and the final elicitation
-calls. Up to the backend's ``max_in_flight`` calls run at once (a backend
-that declares none is called one request at a time, on the calling thread).
-Results are still committed chain by chain in ascending id order, node ids
-are allocated at commit time, and an expand's sibling call, which depends on
-that chain's decision, runs at the chain's turn, so the trace is the one a
-serial run produces.
+Backend calls go through a ``CallScheduler``, which sends up to the
+backend's ``max_in_flight`` calls at once (a backend that declares none is
+called one request at a time, on the calling thread). This loop keeps its
+rounds: the step calls of an iteration, and then the elicitation calls, go
+out together through ``generate_all``. Results are still committed chain by
+chain in ascending id order, node ids are allocated at commit time, and an
+expand's sibling call, which depends on that chain's decision, runs at the
+chain's turn, so the trace is the one a serial run produces.
 
-``request_for``, ``elicit_answers`` and ``generate_all`` are the one way to
-build a generation request, to elicit final answers and to fan calls out,
-shared with the fixed-shape baselines.
+``request_for``, ``conclusion_request`` with ``elicited_answer``, and the
+scheduler are the one way to build a step request, to elicit a final answer
+and to send calls, shared with the fixed-shape baselines.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import Counter, deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,8 +75,10 @@ __all__ = [
     "RunResult",
     "run_task",
     "request_for",
+    "CallScheduler",
     "generate_all",
-    "elicit_answers",
+    "conclusion_request",
+    "elicited_answer",
     "majority_vote",
     "chain_conclusions",
 ]
@@ -207,71 +210,122 @@ def request_for(config: RunConfig, task: str, prior: Sequence[str]) -> Generatio
     )
 
 
+class CallScheduler:
+    """One run's backend calls, each sent as soon as it is submitted.
+
+    ``submit`` queues a request and returns its position in a serial run:
+    breadth first, then by parent, then by submission, where a request
+    submitted after a reply was taken is that reply's child. Iterating
+    yields ``(position, generation)`` per reply, on the caller's thread, as
+    replies arrive. Up to ``backend.max_in_flight`` calls run at once on
+    worker threads; a backend without it is called lazily on the caller's
+    thread in position order, as in a plain loop, and so is a call with
+    nothing in flight and only identical requests waiting. Identical
+    requests run one after another in submission order, so a backend that
+    answers by (request, occurrence) gives the same replies in any schedule.
+    The earliest failure by position is raised once every reply before it
+    has been yielded. ``close`` cancels calls not yet started and waits for
+    those in flight.
+    """
+
+    def __init__(self, backend: Backend):
+        self._backend = backend
+        self._width = getattr(backend, "max_in_flight", 1)
+        self._waiting: list[tuple[tuple, GenerationRequest]] = []
+        self._running: dict[Future, tuple[tuple, GenerationRequest]] = {}
+        self._ready: deque[tuple[tuple, StepGeneration]] = deque()
+        # Calls at or after the earliest failure's position are dropped.
+        self._limit, self._error = (math.inf,), None
+        self._pool: ThreadPoolExecutor | None = None
+        self._parent, self._children = (), 0
+
+    def submit(self, request: GenerationRequest) -> tuple:
+        path = self._parent + (self._children,)
+        self._children += 1
+        position = (len(path), path)
+        if position < self._limit:
+            self._waiting.append((position, request))
+        return position
+
+    def __iter__(self) -> Iterator[tuple[tuple, StepGeneration]]:
+        while True:
+            while not self._ready:
+                if not self._waiting and all(
+                    position > self._limit for position, _ in self._running.values()
+                ):
+                    if self._error is not None:
+                        raise self._error
+                    return
+                self._send()
+            position, generation = self._ready.popleft()
+            self._parent, self._children = position[1], 0
+            yield position, generation
+
+    def _send(self) -> None:
+        """Make the first waiting call here if nothing could run beside it,
+        else start calls not held behind an identical one and take replies."""
+        if self._waiting and (self._width <= 1 or not self._running and all(
+                request == self._waiting[0][1] for _, request in self._waiting)):
+            position, request = self._waiting.pop(0)
+            self._finish(position, self._backend.generate_step, request)
+            return
+        held = {request for _, request in self._running.values()}
+        waiting, self._waiting = self._waiting, []
+        for position, request in waiting:
+            if request in held or len(self._running) >= self._width:
+                self._waiting.append((position, request))
+            else:
+                self._pool = self._pool or ThreadPoolExecutor(
+                    self._width, thread_name_prefix="entroduction-generate")
+                future = self._pool.submit(self._backend.generate_step, request)
+                self._running[future] = (position, request)
+            held.add(request)
+        done, _ = wait(self._running, return_when=FIRST_COMPLETED)
+        for future in sorted(done, key=lambda f: self._running[f][0]):
+            self._finish(self._running.pop(future)[0], future.result)
+
+    def _finish(self, position: tuple, outcome: Callable[..., StepGeneration], *args) -> None:
+        if position > self._limit:
+            return
+        try:
+            self._ready.append((position, outcome(*args)))
+        except Exception as exc:
+            self._limit, self._error = position, exc
+            self._waiting = [w for w in self._waiting if w[0] < position]
+            self._ready = deque(r for r in self._ready if r[0] < position)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+
 def generate_all(
     backend: Backend, requests: Iterable[GenerationRequest]
 ) -> Iterator[StepGeneration]:
-    """Each request's generation, yielded in request order.
-
-    Up to ``backend.max_in_flight`` calls run at once on worker threads. A
-    backend without that attribute, or a batch with one distinct request, is
-    called lazily on the caller's thread: one call per item consumed, so the
-    calls and their order are those of a plain loop. Identical requests run
-    one after another in submission order, so a backend that answers by
-    (request, occurrence) gives the same replies in any schedule. The first
-    failing request in order raises its error once every earlier result has
-    been yielded. Closing the generator cancels calls not yet started and
-    waits for those in flight; a caller that may stop early closes it
-    (``contextlib.closing``).
-    """
-    requests = list(requests)
-    groups: dict[GenerationRequest, list[int]] = {}
-    for index, request in enumerate(requests):
-        groups.setdefault(request, []).append(index)
-    width = min(getattr(backend, "max_in_flight", 1), len(groups))
-    if width <= 1:
-        for request in requests:
-            yield backend.generate_step(request)
-        return
-
-    futures: list[Future] = [Future() for _ in requests]
-
-    def run_group(indices: list[int]) -> None:
-        for index in indices:
-            future = futures[index]
-            if not future.set_running_or_notify_cancel():
-                return
-            try:
-                future.set_result(backend.generate_step(requests[index]))
-            except Exception as exc:
-                # Later requests of the group would follow a failure in order.
-                future.set_exception(exc)
-                return
-
-    pool = ThreadPoolExecutor(width, thread_name_prefix="entroduction-generate")
-    try:
-        for indices in groups.values():
-            pool.submit(run_group, indices)
-        for future in futures:
-            yield future.result()
-    finally:
-        for future in futures:
-            future.cancel()
-        pool.shutdown(wait=True)
+    """Each request's generation, yielded in request order, from one
+    ``CallScheduler``: a backend without ``max_in_flight`` is called lazily,
+    one call per item consumed, and the first failing request in order
+    raises once every earlier result has been yielded. Closing the generator
+    cancels calls not yet started and waits for those in flight; a caller
+    that may stop early closes it (``contextlib.closing``)."""
+    with closing(CallScheduler(backend)) as calls:
+        positions = [calls.submit(request) for request in requests]
+        replies, arrivals = {}, iter(calls)
+        for position in positions:
+            while position not in replies:
+                replies.update([next(arrivals)])
+            yield replies.pop(position)
 
 
-def elicit_answers(
-    backend: Backend, config: RunConfig, task: str, priors: Iterable[Sequence[str]]
-) -> Iterator[str]:
-    """Ask once per prior for a final answer, yielded in order: the stated
-    answer if the reply has the marker, else the whole stripped reply."""
-    requests = [
-        request_for(config, render_conclusion_prompt(task, prior), prior)
-        for prior in map(tuple, priors)
-    ]
-    with closing(generate_all(backend, requests)) as generations:
-        for generation in generations:
-            answer = detect_answer_marker(generation.text, config.answer_marker)
-            yield answer if answer is not None else generation.text.strip()
+def conclusion_request(config: RunConfig, task: str, prior: Sequence[str]) -> GenerationRequest:
+    """The request asking for a final answer after the steps in ``prior``."""
+    return request_for(config, render_conclusion_prompt(task, tuple(prior)), prior)
+
+
+def elicited_answer(config: RunConfig, generation: StepGeneration) -> str:
+    """The answer a conclusion reply states, else the whole stripped reply."""
+    answer = detect_answer_marker(generation.text, config.answer_marker)
+    return answer if answer is not None else generation.text.strip()
 
 
 class _Runner:
@@ -408,14 +462,14 @@ class _Runner:
             chain for chain in self.structure.chains
             if not chain.final_answer and chain.nodes
         ]
-        answers = elicit_answers(
-            self.backend, self.config, self.structure.task,
-            [chain.node_texts() for chain in pending],
-        )
-        with closing(answers):
-            for chain, answer in zip(pending, answers):
+        requests = [
+            conclusion_request(self.config, self.structure.task, chain.node_texts())
+            for chain in pending
+        ]
+        with closing(generate_all(self.backend, requests)) as generations:
+            for chain, generation in zip(pending, generations):
                 self.conclusion_calls += 1
-                chain.final_answer = answer or None
+                chain.final_answer = elicited_answer(self.config, generation) or None
 
     def run(self) -> RunResult:
         started = time.perf_counter()

@@ -5,21 +5,24 @@ a plain chain costs ``steps`` nodes, self-consistency costs ``chains *
 steps``, and a tree with ``branching`` children per node over ``layers``
 levels (root level included) costs sum(branching**k for k in range(layers))
 nodes. Final-answer elicitation calls are tracked separately from reasoning
-steps. Requests and elicitation go through the engine's ``request_for`` and
-``elicit_answers``, so a ``RunConfig`` sets sampling, prompt and marker for
-both the adaptive method and these baselines. The calls of one tree layer,
-of one step across all chains, and of the elicitation go out together
-through the engine's ``generate_all``.
+steps. Requests and elicitation go through the engine's request helpers, so
+a ``RunConfig`` sets sampling, prompt and marker for both the adaptive method
+and these baselines. Chains advance in rounds through the engine's
+``generate_all``; a tree runs on one ``CallScheduler``, which sends a node's
+children as soon as its step returns and a leaf's elicitation as soon as the
+leaf returns.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..backends.base import Backend, detect_answer_marker
-from ..engine import RunConfig, elicit_answers, generate_all, request_for
+from ..engine import (
+    CallScheduler, RunConfig, conclusion_request, elicited_answer, generate_all, request_for
+)
 
 __all__ = [
     "BaselineMethod",
@@ -94,31 +97,6 @@ class BaselineOutcome:
 Transcript = tuple[str, ...]
 
 
-def _extend(
-    backend: Backend, config: RunConfig, task: str, paths: Sequence[Transcript]
-) -> list[Transcript]:
-    """Each path with one more generated step, the calls made together."""
-    requests = [request_for(config, task, path) for path in paths]
-    return [
-        path + (generation.text,)
-        for path, generation in zip(paths, list(generate_all(backend, requests)))
-    ]
-
-
-def _answers(
-    backend: Backend,
-    config: RunConfig,
-    task: str,
-    paths: Sequence[Transcript],
-    stated: Sequence[str | None],
-) -> tuple[list[str], int]:
-    """The stated answer of each path where there is one, else one elicited
-    after the path; and the number of elicitation calls."""
-    asked = [path for path, found in zip(paths, stated) if found is None]
-    elicited = iter(list(elicit_answers(backend, config, task, asked)))
-    return [found if found is not None else next(elicited) for found in stated], len(asked)
-
-
 def run_chain_baseline(
     task: str,
     params: BaselineParams,
@@ -135,7 +113,9 @@ def run_chain_baseline(
     chains = n_chains if n_chains is not None else params.chains
     transcripts: list[Transcript] = [()] * chains
     for _ in range(params.steps):
-        transcripts = _extend(backend, config, task, transcripts)
+        requests = [request_for(config, task, path) for path in transcripts]
+        generations = list(generate_all(backend, requests))
+        transcripts = [path + (g.text,) for path, g in zip(transcripts, generations)]
 
     vote_width = params.vote_width if params.vote_width is not None else chains
     voters = [transcripts[i % len(transcripts)] for i in range(vote_width)]
@@ -148,8 +128,11 @@ def run_chain_baseline(
             if m is not None
         ]
         stated.append(hits[-1] if hits else None)
-    answers, conclusion_calls = _answers(backend, config, task, voters, stated)
-    return BaselineOutcome(answers, chains * params.steps, conclusion_calls)
+    asked = [path for path, found in zip(voters, stated) if found is None]
+    requests = [conclusion_request(config, task, path) for path in asked]
+    elicited = (elicited_answer(config, g) for g in list(generate_all(backend, requests)))
+    answers = [found if found is not None else next(elicited) for found in stated]
+    return BaselineOutcome(answers, chains * params.steps, len(asked))
 
 
 def run_tree_baseline(
@@ -160,16 +143,27 @@ def run_tree_baseline(
     config: RunConfig = RunConfig(),
 ) -> BaselineOutcome:
     """Full tree expansion: one root step, then ``branching`` children per
-    node for ``layers - 1`` further levels, one layer at a time; answers come
-    from the leaves. ``config`` supplies the sampling settings, system prompt
-    and answer marker."""
-    frontier = _extend(backend, config, task, [()])
-    steps_generated = len(frontier)
-    for _ in range(params.layers - 1):
-        children = [path for path in frontier for _ in range(params.branching)]
-        frontier = _extend(backend, config, task, children)
-        steps_generated += len(frontier)
-
-    stated = [detect_answer_marker(path[-1], config.answer_marker) for path in frontier]
-    answers, conclusion_calls = _answers(backend, config, task, frontier, stated)
-    return BaselineOutcome(answers, steps_generated, conclusion_calls)
+    node for ``layers - 1`` further levels; answers come from the leaves, in
+    breadth-first order. A node's children are requested as soon as its step
+    returns, and a leaf's elicitation as soon as the leaf returns; a serial
+    backend is still called layer by layer. ``config`` supplies the sampling
+    settings, system prompt and answer marker."""
+    asked: dict[tuple, tuple] = {}  # elicitation position -> leaf position
+    answers: dict[tuple, str] = {}  # leaf position -> answer
+    steps_generated = 0
+    with closing(CallScheduler(backend)) as calls:
+        priors = {calls.submit(request_for(config, task, ())): ()}
+        for position, generation in calls:
+            if position in asked:
+                answers[asked[position]] = elicited_answer(config, generation)
+                continue
+            path = priors.pop(position) + (generation.text,)
+            steps_generated += 1
+            if len(path) < params.layers:
+                for _ in range(params.branching):
+                    priors[calls.submit(request_for(config, task, path))] = path
+            elif (stated := detect_answer_marker(path[-1], config.answer_marker)) is None:
+                asked[calls.submit(conclusion_request(config, task, path))] = position
+            else:
+                answers[position] = stated
+    return BaselineOutcome([answers[p] for p in sorted(answers)], steps_generated, len(asked))

@@ -86,16 +86,17 @@ class StepMetrics:
 def _entropy_and_contributions(p: np.ndarray) -> tuple[float, np.ndarray]:
     """Entropy of ``p`` and its per-token terms -p*log2(p), 0 where p = 0.
 
-    The entropy sums the positive entries' p*log2(p) alone and negates the
-    total, so numpy's pairwise grouping and the sign of a zero entropy do
-    not depend on how many probabilities underflowed to 0.
+    The entropy sums the positive entries' p*log2(p) alone, so numpy's
+    pairwise grouping does not depend on how many probabilities underflowed
+    to 0, and subtracts the total from 0, so a zero entropy is +0.0 where a
+    negation would give -0.0.
     """
     positive = p > 0.0
     q = p[positive]
     plogp = q * np.log2(q)
     series = np.zeros_like(p)
     series[positive] = -plogp
-    return float(-plogp.sum()), series
+    return float(0.0 - plogp.sum()), series
 
 
 def step_softmax(logits: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -53,13 +53,14 @@ class ChatCompletionsMock:
     ``fail_first`` makes the first N requests fail (each failure consumes no
     canned response) with the ``fault`` named: ``"status"`` answers HTTP 500,
     ``"reset"`` sends the headers and part of the body and then resets the
-    connection, and ``"slow"`` holds the request for ``SLOW_FAULT_S``, past a
-    short client timeout, and closes it unanswered. When the queue
-    empties, the last response is repeated.
+    connection, ``"slow"`` holds the request for ``SLOW_FAULT_S``, past a
+    short client timeout, and closes it unanswered, and ``"bad_json"``
+    answers 200 with a body that is not JSON. When the queue empties, the
+    last response is repeated.
     """
 
     def __init__(self, responses, fail_first: int = 0, fault: str = "status"):
-        if fault not in ("status", "reset", "slow"):
+        if fault not in ("status", "reset", "slow", "bad_json"):
             raise ValueError(f"unknown fault {fault!r}")
         self.responses = list(responses)
         self.requests: list[dict] = []
@@ -117,6 +118,13 @@ class ChatCompletionsMock:
                         socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
                     )
                     self.connection.close()
+                elif mock.fault == "bad_json":
+                    data = b'{"choices": [truncated'
+                    self.send_response(200)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
+                    self.wfile.write(data)
                 else:
                     self.send_response(500)
                     self.end_headers()

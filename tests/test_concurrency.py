@@ -33,22 +33,30 @@ from entroduction.harness import BaselineParams, run_chain_baseline, run_tree_ba
 from entroduction.policy import PolicyConfig
 
 WORKER_PREFIX = "entroduction-generate"
+SLOW_FAILURE_S = 0.1
+# How long a held call waits for the call it must overlap with.
+GATE_TIMEOUT_S = 2.0
+TREE = BaselineParams(branching=3, layers=3)
 
 
 class KeyedBackend:
     """Replies keyed by (request, occurrence), with up to ``jitter_s`` of sleep.
 
     ``fail_on`` names the (request, occurrence) call that raises
-    ``BackendError``. ``calls`` lists every call's key in call order and
+    ``BackendError``, and ``slow_fail_on`` one that raises after a further
+    ``SLOW_FAILURE_S``. ``calls`` lists every call's key in call order,
+    ``failures`` the keys that raised, in the order they raised, and
     ``peak`` is the most calls seen in flight at once.
     """
 
     def __init__(self, max_in_flight: int, jitter_s: float = 0.002, fail_on=None,
-                 seed: int = 0):
+                 seed: int = 0, slow_fail_on=None):
         self.max_in_flight = max_in_flight
         self.jitter_s = jitter_s
         self.fail_on = fail_on
+        self.slow_fail_on = slow_fail_on
         self.calls: list[tuple[GenerationRequest, int]] = []
+        self.failures: list[tuple[GenerationRequest, int]] = []
         self.peak = 0
         self._seen: Counter = Counter()
         self._in_flight = 0
@@ -68,12 +76,19 @@ class KeyedBackend:
                 self._seen[request] += 1
                 self.calls.append(key)
             time.sleep(service)
-            if key == self.fail_on:
+            if key == self.slow_fail_on:
+                time.sleep(SLOW_FAILURE_S)
+            if key in (self.fail_on, self.slow_fail_on):
+                with self._lock:
+                    self.failures.append(key)
                 raise BackendError(f"injected failure on call {key[1]}")
-            return reply(*key)
+            return self.reply(*key)
         finally:
             with self._lock:
                 self._in_flight -= 1
+
+    def reply(self, request: GenerationRequest, occurrence: int):
+        return reply(request, occurrence)
 
 
 def reply(request: GenerationRequest, occurrence: int):
@@ -182,6 +197,126 @@ class TestBaselineDeterminism:
             errors.append(str(caught.value))
             assert worker_threads() == []
         assert errors[0] == errors[1]
+
+
+class GatedBackend(KeyedBackend):
+    """Holds the last second-layer call of a tree until a third-layer call
+    has started, and fails that call if none starts in ``GATE_TIMEOUT_S``."""
+
+    def __init__(self):
+        super().__init__(4)
+        self.second_layer_calls = 0
+        self.third_layer_started = threading.Event()
+
+    def generate_step(self, request: GenerationRequest):
+        if len(request.prior_steps) == 2:
+            self.third_layer_started.set()
+        elif len(request.prior_steps) == 1:
+            with self._lock:
+                self.second_layer_calls += 1
+                last = self.second_layer_calls == TREE.branching
+            if last and not self.third_layer_started.wait(GATE_TIMEOUT_S):
+                raise BackendError("the third layer waited for the whole second layer")
+        return super().generate_step(request)
+
+
+class TwinBackend(KeyedBackend):
+    """Gives the first two second-layer calls the same reply, so the children
+    of those two siblings are six identical requests."""
+
+    def reply(self, request: GenerationRequest, occurrence: int):
+        if len(request.prior_steps) == 1 and occurrence == 1:
+            occurrence = 0
+        return reply(request, occurrence)
+
+
+class TestTreeDataflow:
+    def test_children_sent_before_their_layer_ends(self):
+        backend = GatedBackend()
+        outcome = run_tree_baseline("what is 2 + 2?", TREE, backend)
+        serial = run_tree_baseline("what is 2 + 2?", TREE, KeyedBackend(1))
+        assert vars(outcome) == vars(serial)
+        assert worker_threads() == []
+
+    def test_identical_siblings_keep_serial_replies(self):
+        serial_backend = TwinBackend(1)
+        serial = run_tree_baseline("what is 2 + 2?", TREE, serial_backend)
+        requests = Counter(request for request, _ in serial_backend.calls)
+        assert max(requests.values()) == 6
+        # The twins' subtrees answer differently, so swapping them would show.
+        assert serial.answers[0:3] != serial.answers[3:6]
+        for seed in range(10):
+            backend = TwinBackend(4, jitter_s=0.003, seed=seed)
+            assert vars(run_tree_baseline("what is 2 + 2?", TREE, backend)) == vars(serial)
+            assert backend.peak >= 2
+        assert worker_threads() == []
+
+    def test_earliest_failure_in_serial_order_wins(self):
+        reference = KeyedBackend(1, jitter_s=0.0)
+        run_tree_baseline("q", TREE, reference)
+        # The last second-layer call fails slowly; the first third-layer call,
+        # later in serial order, fails at once.
+        early, late = reference.calls[3], reference.calls[4]
+        errors = []
+        for width in (1, 4):
+            backend = KeyedBackend(width, fail_on=late, slow_fail_on=early)
+            with pytest.raises(BackendError) as caught:
+                run_tree_baseline("q", TREE, backend)
+            errors.append(str(caught.value))
+            assert worker_threads() == []
+        assert backend.failures == [late, early]
+        assert errors == ["injected failure on call 2"] * 2
+
+
+def call_label(call) -> str:
+    """``s``/``c`` (step or conclusion request), the number of prior steps,
+    the end of the last one and the occurrence of the request."""
+    request, occurrence = call
+    kind = "c" if request.task.startswith("Task:") else "s"
+    last = request.prior_steps[-1][-8:] if request.prior_steps else "-"
+    return f"{kind}{len(request.prior_steps)} {last}#{occurrence}"
+
+
+# Serial call sequences recorded when every baseline ran layer by layer
+# (tree) or step by step (chains) through generate_all.
+SERIAL_TREE_CALLS = [
+    "s0 -#0",
+    "s1 c41693dc#0", "s1 c41693dc#1", "s1 c41693dc#2",
+    "s2 e01ecd92#0", "s2 e01ecd92#1", "s2 e01ecd92#2",
+    "s2 524b0ac2#0", "s2 524b0ac2#1", "s2 524b0ac2#2",
+    "s2 b5490d72#0", "s2 b5490d72#1", "s2 b5490d72#2",
+    "c3 4af43e2e#0", "c3 ebe87919#0", "c3 8813da7a#0", "c3 53368fd6#0",
+    "c3 9aa3c691#0", "c3 bf086637#0", "c3 acac9bc2#0", "c3 aae1c24c#0",
+    "c3 e87bdb7b#0",
+]
+SERIAL_COTSC_CALLS = [
+    "s0 -#0", "s0 -#1", "s0 -#2",
+    "s1 c41693dc#0", "s1 0bfaf59c#0", "s1 6c148c34#0",
+    "s2 e01ecd92#0", "s2 4cc6c1bb#0", "s2 e2bde9e7#0",
+    "c3 4af43e2e#0", "c3 298a632c#0", "c3 5920ef2e#0",
+]
+
+
+class TestSerialCallOrder:
+    def test_tree(self):
+        backend = KeyedBackend(1, jitter_s=0.0)
+        outcome = run_tree_baseline("what is 2 + 2?", TREE, backend)
+        assert [call_label(call) for call in backend.calls] == SERIAL_TREE_CALLS
+        assert vars(outcome) == {
+            "answers": ["2", "1", "2", "3", "3", "2", "3", "2", "3"],
+            "steps_generated": 13,
+            "conclusion_calls": 9,
+        }
+
+    def test_chains(self):
+        backend = KeyedBackend(1, jitter_s=0.0)
+        outcome = run_chain_baseline(
+            "what is 2 + 2?", BaselineParams(steps=3, chains=3), backend
+        )
+        assert [call_label(call) for call in backend.calls] == SERIAL_COTSC_CALLS
+        assert vars(outcome) == {
+            "answers": ["2", "3", "2"], "steps_generated": 9, "conclusion_calls": 3
+        }
 
 
 class TestGenerateAll:

@@ -337,6 +337,24 @@ class TestFailures:
             assert step.text == "Add the numbers."
             assert len(mock.requests) == 2
 
+    def test_bad_json_is_not_retried_and_ends_only_its_task(self):
+        good = completion_payload([("The answer is 4", -0.05)])
+        with ChatCompletionsMock([good], fail_first=1, fault="bad_json") as mock:
+            with pytest.raises(BackendError, match="bad JSON") as caught:
+                make_backend(mock).generate_step(step_request())
+            assert not isinstance(caught.value, TransportError)
+            assert len(mock.requests) == 1
+
+        tasks = [TaskInstance(f"t{i}", f"q{i}", "4", TaskKind.NUMERIC_MATH) for i in (1, 2)]
+        with ChatCompletionsMock([good], fail_first=1, fault="bad_json") as mock:
+            report = run_benchmark(
+                Method.COT, tasks, make_backend(mock), params=BaselineParams(steps=1)
+            )
+            assert len(mock.requests) == 2
+        assert "bad JSON" in report.records[0].error
+        assert not report.records[0].correct
+        assert report.records[1].correct and report.records[1].error is None
+
     @pytest.mark.parametrize(
         "fault, cause", [("reset", "Connection reset"), ("slow", "Read timed out")]
     )

