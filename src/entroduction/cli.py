@@ -5,14 +5,16 @@ re-exports or inspects a saved trace. Settings resolve in order: the config
 dataclasses' defaults, then a key=value config file, then explicit flags;
 click converts file values with the same option types as flags. Exit codes:
 0 success, 1 configuration error (any bad flag or file value included),
-2 backend failure, 3 dataset error.
+2 backend failure, 3 dataset error. Commands raise ``ConfigurationError``,
+``BackendError`` or ``DatasetError``; the command group alone turns each into
+its message and exit code.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -44,7 +46,6 @@ from .harness import (
 )
 from .policy import MetricMode, PolicyConfig
 
-EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BACKEND = 2
 EXIT_DATASET = 3
@@ -179,8 +180,9 @@ def _usage_errors_exit_config():
 
 
 class _Group(click.Group):
-    """A bad flag or file value, a bad choice, a missing option or an unknown
-    command exits EXIT_CONFIG, like every other configuration error."""
+    """The one place a typed error becomes a message and an exit code. A bad
+    flag or file value, a bad choice, a missing option or an unknown command
+    exits EXIT_CONFIG, like every other configuration error."""
 
     def make_context(self, *args, **kwargs):
         with _usage_errors_exit_config():
@@ -188,7 +190,16 @@ class _Group(click.Group):
 
     def invoke(self, ctx):
         with _usage_errors_exit_config():
-            return super().invoke(ctx)
+            try:
+                return super().invoke(ctx)
+            except ConfigurationError as exc:
+                message, code = f"configuration error: {exc}", EXIT_CONFIG
+            except BackendError as exc:
+                message, code = f"backend failure: {exc}", EXIT_BACKEND
+            except DatasetError as exc:
+                message, code = f"dataset error: {exc}", EXIT_DATASET
+        click.echo(message, err=True)
+        sys.exit(code)
 
 
 @click.group(cls=_Group)
@@ -203,30 +214,20 @@ def main() -> None:
 @click.option("--summary-out", default=None, help="Write the per-chain CSV here.")
 def run_command(task, out, summary_out, **settings) -> None:
     """Run one task and print its conclusion and run statistics."""
-    try:
-        backend = build_backend(settings)
-        config = build_run_config(settings)
-        result = _build(run_task, task, config, backend)
-    except ConfigurationError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except BackendError as exc:
-        click.echo(f"backend failure: {exc}", err=True)
-        sys.exit(EXIT_BACKEND)
-
+    backend = build_backend(settings)
+    config = build_run_config(settings)
+    result = _build(run_task, task, config, backend)
     if out:
         export_trace(result, out)
     if summary_out:
         export_chain_summary(result, summary_out)
     if result.aborted:
-        click.echo(f"backend failure: {result.error}", err=True)
-        sys.exit(EXIT_BACKEND)
+        raise BackendError(result.error)
     click.echo(f"conclusion: {result.conclusion!r}")
     click.echo(
         f"chains: {len(result.structure.chains)}  depth: {result.structure.depth()}  "
         f"steps: {result.total_steps}  wall: {result.wall_time:.3f}s"
     )
-    sys.exit(EXIT_OK)
 
 
 @main.command("bench")
@@ -249,41 +250,18 @@ def run_command(task, out, summary_out, **settings) -> None:
 @click.option("--trace-out", default=None, help="Write all run traces (JSONL) here.")
 def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings) -> None:
     """Score a method over a JSONL dataset."""
-    try:
-        backend = build_backend(settings)
-        run_config = build_run_config(settings)
-        params = _build(replace, BASELINE_DEFAULTS, **_given(settings, BaselineParams))
-    except ConfigurationError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except BackendError as exc:
-        click.echo(f"backend failure: {exc}", err=True)
-        sys.exit(EXIT_BACKEND)
+    backend = build_backend(settings)
+    run_config = build_run_config(settings)
+    params = _build(replace, BASELINE_DEFAULTS, **_given(settings, BaselineParams))
+    tasks = load_dataset(dataset, task_kind, strict=strict)
+    with open(trace_out, "w", encoding="utf-8") if trace_out else nullcontext() as sink:
+        def on_result(task, result):
+            export_trace(result, sink, task_id=task.id)
 
-    try:
-        tasks = load_dataset(dataset, task_kind, strict=strict)
-    except DatasetError as exc:
-        click.echo(f"dataset error: {exc}", err=True)
-        sys.exit(EXIT_DATASET)
-
-    trace_handle = open(trace_out, "w", encoding="utf-8") if trace_out else None
-    on_result = None
-    if trace_handle is not None:
-        def on_result(task, result):  # noqa: E306
-            export_trace(result, trace_handle, task_id=task.id)
-
-    try:
         report = run_benchmark(
-            method, tasks, backend,
-            run_config=run_config, params=params, on_result=on_result,
+            method, tasks, backend, run_config=run_config, params=params,
+            on_result=on_result if sink is not None else None,
         )
-    except BackendError as exc:
-        click.echo(f"backend failure: {exc}", err=True)
-        sys.exit(EXIT_BACKEND)
-    finally:
-        if trace_handle is not None:
-            trace_handle.close()
-
     if out:
         report.save(out)
     click.echo(
@@ -294,7 +272,6 @@ def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings
     failures = [r for r in report.records if r.error]
     if failures:
         click.echo(f"tasks with backend failures: {len(failures)}", err=True)
-    sys.exit(EXIT_OK)
 
 
 @main.command("trace")
@@ -306,18 +283,15 @@ def trace_command(source, out, summary) -> None:
     try:
         rows = read_trace(source)
     except OSError as exc:
-        click.echo(f"dataset error: cannot read {source}: {exc}", err=True)
-        sys.exit(EXIT_DATASET)
+        raise DatasetError(f"cannot read {source}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        click.echo(f"dataset error: bad trace line: {exc}", err=True)
-        sys.exit(EXIT_DATASET)
+        raise DatasetError(f"bad trace line: {exc}") from exc
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             for row in rows:
                 handle.write(json.dumps(row) + "\n")
     if summary:
         click.echo(format_summary(summarize_trace(rows)), nl=False)
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -155,11 +155,12 @@ class RunResult:
 def majority_vote(
     conclusions: Sequence[str], scores: Sequence[float] | None = None
 ) -> str:
-    """Most frequent conclusion; ties go to the lowest accompanying score.
+    """Most frequent conclusion; ties go to the lowest accompanying score,
+    then to the value seen first.
 
     ``scores`` aligns with ``conclusions`` (mean normalized step entropy of
-    the producing chain: lower means more confident). Without scores, ties
-    resolve to the value seen first. Empty input yields the empty string.
+    the producing chain: lower means more confident); without scores, every
+    score counts as equal. Empty input yields the empty string.
     """
     conclusions = list(conclusions)
     if not conclusions:
@@ -167,26 +168,11 @@ def majority_vote(
     if scores is not None and len(scores) != len(conclusions):
         raise ValueError("scores must align with conclusions")
     counts = Counter(conclusions)
-    top = max(counts.values())
-    tied = [value for value, count in counts.items() if count == top]
-    if len(tied) == 1:
-        return tied[0]
-    tied_set = set(tied)
-    if scores is None:
-        for value in conclusions:
-            if value in tied_set:
-                return value
-        return tied[0]
-    best_value = None
-    best_key: tuple[float, int] | None = None
-    for index, (value, score) in enumerate(zip(conclusions, scores)):
-        if value not in tied_set:
-            continue
-        key = (float(score), index)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_value = value
-    return best_value if best_value is not None else tied[0]
+    _, _, index = min(
+        (-counts[value], 0.0 if scores is None else float(scores[i]), i)
+        for i, value in enumerate(conclusions)
+    )
+    return conclusions[index]
 
 
 def chain_conclusions(result: RunResult) -> list[tuple[int, str, float]]:

@@ -48,7 +48,6 @@ class BaselineParams:
 
     steps: int = 8
     chains: int = 1
-    vote_width: int | None = None
     branching: int = 3
     layers: int = 5
 
@@ -107,9 +106,8 @@ def run_chain_baseline(
 ) -> BaselineOutcome:
     """Fixed-length chains: every chain generates exactly ``params.steps``
     nodes (no early stopping, so accounting stays exact), one step of every
-    chain at a time, then answers are sampled ``vote_width`` times
-    round-robin across chains. ``config`` supplies the sampling settings,
-    system prompt and answer marker."""
+    chain at a time, then one answer per chain. ``config`` supplies the
+    sampling settings, system prompt and answer marker."""
     chains = n_chains if n_chains is not None else params.chains
     transcripts: list[Transcript] = [()] * chains
     for _ in range(params.steps):
@@ -117,18 +115,16 @@ def run_chain_baseline(
         generations = list(generate_all(backend, requests))
         transcripts = [path + (g.text,) for path, g in zip(transcripts, generations)]
 
-    vote_width = params.vote_width if params.vote_width is not None else chains
-    voters = [transcripts[i % len(transcripts)] for i in range(vote_width)]
     # A stated answer inside the transcript stands in for elicitation.
     stated = []
-    for prior in voters:
+    for prior in transcripts:
         hits = [
             m
             for m in (detect_answer_marker(t, config.answer_marker) for t in prior)
             if m is not None
         ]
         stated.append(hits[-1] if hits else None)
-    asked = [path for path, found in zip(voters, stated) if found is None]
+    asked = [path for path, found in zip(transcripts, stated) if found is None]
     requests = [conclusion_request(config, task, path) for path in asked]
     elicited = (elicited_answer(config, g) for g in list(generate_all(backend, requests)))
     answers = [found if found is not None else next(elicited) for found in stated]

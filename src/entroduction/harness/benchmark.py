@@ -1,11 +1,13 @@
 """Benchmark runner: methods over task sets, with accuracy and step accounting.
 
 One report row per task: the method's raw per-chain answers are cleansed per
-task kind, voted into a single prediction, and scored by exact string match
-against the gold answer. Backend failures on a task are recorded as
-incorrect with an error flag and the run continues. Mean steps are reported
-both per task and per chain, since the two averages differ for adaptive
-runs.
+task kind, voted into a single prediction by ``majority_vote``, and scored by
+exact string match against the gold answer. Adaptive answers carry their
+chain's mean normalized entropy as the tie-breaking score; a baseline's
+answers all score alike. A backend failure on a task, an aborted adaptive
+run included, is recorded as incorrect with an error flag and the run
+continues. Mean steps are reported both per task and per chain, since the
+two averages differ for adaptive runs.
 """
 
 from __future__ import annotations
@@ -74,23 +76,15 @@ class BenchmarkReport:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
 
-def _vote_over(
-    raw_answers: Sequence[str],
-    task: TaskInstance,
-    scores: Sequence[float] | None = None,
-) -> str:
-    cleansed: list[str] = []
-    kept_scores: list[float] = []
-    for index, answer in enumerate(raw_answers):
-        value = clean_answer(answer, task.task_kind, task.options)
-        if not value:
-            continue
-        cleansed.append(value)
-        if scores is not None:
-            kept_scores.append(scores[index])
-    if not cleansed:
-        return ""
-    return majority_vote(cleansed, kept_scores if scores is not None else None)
+def _vote_over(task: TaskInstance, answers: Sequence[tuple[str, float]]) -> str:
+    """The vote over the (raw answer, score) pairs whose answer cleanses to
+    a value."""
+    kept = [
+        (value, score)
+        for answer, score in answers
+        if (value := clean_answer(answer, task.task_kind, task.options))
+    ]
+    return majority_vote([value for value, _ in kept], [score for _, score in kept])
 
 
 def _run_one(
@@ -102,19 +96,18 @@ def _run_one(
     on_result: Callable[[TaskInstance, RunResult], None] | None,
 ) -> TaskRecord:
     started = time.perf_counter()
+    predicted, steps, chains, error = "", 0, 0, None
     try:
         if method is Method.ENTRODUCTION:
             result = run_task(task.question, run_config, backend)
-            if result.aborted:
-                raise BackendError(result.error or "run aborted")
             if on_result is not None:
                 on_result(task, result)
-            answered = chain_conclusions(result)
-            predicted = _vote_over(
-                [a for _, a, _ in answered], task, [s for _, _, s in answered]
-            )
-            steps = result.total_steps
-            chains = len(result.structure.chains)
+            if result.aborted:
+                error = result.error or "run aborted"
+            else:
+                predicted = _vote_over(task, [(a, s) for _, a, s in chain_conclusions(result)])
+                steps = result.total_steps
+                chains = len(result.structure.chains)
         else:
             if method is Method.TOT:
                 outcome = run_tree_baseline(
@@ -125,29 +118,22 @@ def _run_one(
                 outcome = run_chain_baseline(
                     task.question, params, backend, n_chains=n_chains, config=run_config
                 )
-            predicted = _vote_over(outcome.answers, task)
+            # A baseline's answers count alike, so they share one score.
+            predicted = _vote_over(task, [(answer, 0.0) for answer in outcome.answers])
             steps = outcome.steps_generated
             chains = params.chains if method is Method.COT_SC else 1
-        return TaskRecord(
-            task_id=task.id,
-            predicted=predicted,
-            gold=task.gold_answer,
-            correct=predicted == task.gold_answer,
-            steps=steps,
-            chains=chains,
-            wall_time=time.perf_counter() - started,
-        )
     except BackendError as exc:
-        return TaskRecord(
-            task_id=task.id,
-            predicted="",
-            gold=task.gold_answer,
-            correct=False,
-            steps=0,
-            chains=0,
-            wall_time=time.perf_counter() - started,
-            error=str(exc),
-        )
+        error = str(exc)
+    return TaskRecord(
+        task_id=task.id,
+        predicted=predicted,
+        gold=task.gold_answer,
+        correct=predicted == task.gold_answer,
+        steps=steps,
+        chains=chains,
+        wall_time=time.perf_counter() - started,
+        error=error,
+    )
 
 
 def run_benchmark(
@@ -160,7 +146,8 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Score ``method`` on ``tasks``.
 
-    ``on_result`` receives each completed adaptive run (for trace export).
+    ``on_result`` receives each adaptive run, an aborted one with its
+    partial trace (for trace export).
     Within a task, independent backend calls go out together, up to the
     backend's ``max_in_flight`` (see ``engine.generate_all``); results do
     not depend on it. Tasks run one after another. A backend error ends

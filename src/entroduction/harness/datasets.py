@@ -1,8 +1,8 @@
 """Benchmark dataset ingestion.
 
 Datasets are JSONL with fields ``id``, ``question``, and ``answer``; choice
-tasks may add an ``options`` list. Grade-school math files that embed the
-gold answer after a ``####`` marker are unwrapped on load.
+tasks may add an ``options`` list of strings. Grade-school math files that
+embed the gold answer after a ``####`` marker are unwrapped on load.
 """
 
 from __future__ import annotations
@@ -63,13 +63,15 @@ def _parse_row(obj: dict, task_kind: TaskKind) -> TaskInstance:
         raise ValueError(f"missing or null fields: {', '.join(missing)}")
     if not isinstance(obj["question"], str):
         raise ValueError("question must be a string")
-    options = obj.get("options") or ()
+    options = [] if obj.get("options") is None else obj["options"]
+    if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+        raise ValueError("options must be a list of strings")
     return TaskInstance(
         id=str(obj["id"]),
         question=str(obj["question"]),
         gold_answer=extract_gold_answer(str(obj["answer"])),
         task_kind=task_kind,
-        options=tuple(str(o) for o in options),
+        options=tuple(options),
     )
 
 

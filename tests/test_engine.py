@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     A30,
@@ -269,6 +271,18 @@ class TestAbort:
         assert result.no_conclusion
 
 
+def reference_vote(conclusions, scores=None):
+    """The vote as documented: the most frequent value; among the tied
+    values, the one at the lowest score, then the one seen first."""
+    if not conclusions:
+        return ""
+    top = max(conclusions.count(value) for value in conclusions)
+    tied = [i for i, value in enumerate(conclusions) if conclusions.count(value) == top]
+    if scores is None:
+        return conclusions[tied[0]]
+    return conclusions[min(tied, key=lambda i: (scores[i], i))]
+
+
 class TestMajorityVote:
     def test_strict_majority(self):
         assert majority_vote(["4", "4", "5"]) == "4"
@@ -293,6 +307,16 @@ class TestMajorityVote:
     def test_score_length_mismatch(self):
         with pytest.raises(ValueError):
             majority_vote(["a"], scores=[0.1, 0.2])
+
+    @given(st.data(), st.lists(st.sampled_from("abcd"), max_size=12))
+    def test_matches_brute_force_reference(self, data, conclusions):
+        # Few distinct values and scores, so count and score ties are common.
+        scores = data.draw(st.lists(
+            st.sampled_from([0.1, 0.25, 0.5]) | st.floats(0.0, 1.0),
+            min_size=len(conclusions), max_size=len(conclusions),
+        ))
+        assert majority_vote(conclusions) == reference_vote(conclusions)
+        assert majority_vote(conclusions, scores) == reference_vote(conclusions, scores)
 
     def test_engine_tie_break_uses_chain_confidence(self):
         # Expand at step 3, then each branch states a different answer at

@@ -97,8 +97,15 @@ class TestLoadDataset:
             ({"id": "2", "question": "q2", "answer": None}, "null fields: answer"),
             ({"id": "2", "question": 7, "answer": "7"}, "question must be a string"),
             ({"id": "2", "question": ["q"], "answer": "5"}, "question must be a string"),
+            ({"id": "2", "question": "q2", "answer": "A", "options": "ABC"},
+             "options must be a list of strings"),
+            ({"id": "2", "question": "q2", "answer": "A", "options": 3},
+             "options must be a list of strings"),
+            ({"id": "2", "question": "q2", "answer": "A", "options": [None]},
+             "options must be a list of strings"),
         ],
-        ids=["null id", "null question", "null answer", "numeric question", "list question"],
+        ids=["null id", "null question", "null answer", "numeric question", "list question",
+             "string options", "numeric options", "null option"],
     )
     def test_null_or_non_string_field_rejected(self, tmp_path, caplog, row, message):
         path = tmp_path / "d.jsonl"
@@ -269,16 +276,6 @@ class TestBaselineAccounting:
         assert outcome.steps_generated == 121
         assert len(outcome.answers) == 81
 
-    def test_vote_width_round_robin(self):
-        backend = SyntheticBackend(
-            [SyntheticStep(logprobs=UNIFORM4, text="The answer is 6")]
-        )
-        params = BaselineParams(steps=2, chains=3, vote_width=8)
-        outcome = run_chain_baseline("q", params, backend)
-        assert len(outcome.answers) == 8
-        assert outcome.steps_generated == 6
-        assert set(outcome.answers) == {"6"}
-
 
 def fixture_tasks(n=3):
     return [
@@ -338,6 +335,20 @@ class TestRunBenchmark:
         assert not failed.correct
         assert failed.error is not None
         assert report.accuracy == pytest.approx(2 / 3)
+
+    def test_aborted_run_reaches_on_result(self):
+        # One scripted step for a three-step budget: the run aborts after
+        # its first step, and its partial trace is still exported.
+        backend = ScriptedBackend([make_step("thinking", UNIFORM4)])
+        sink = io.StringIO()
+        report = run_benchmark(
+            Method.ENTRODUCTION, fixture_tasks(1), backend,
+            run_config=RunConfig(max_steps=3, policy=PolicyConfig(epsilon=0.0, seed=0)),
+            on_result=lambda task, result: export_trace(result, sink, task_id=task.id),
+        )
+        assert report.records[0].error is not None
+        lines = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert [line["task_id"] for line in lines] == ["t1"]
 
     def test_accuracy_consistent_with_records(self):
         tasks = fixture_tasks(4)
