@@ -102,17 +102,30 @@ class SyntheticStep:
 
 
 def _chunk_text(text: str, n: int) -> list[str]:
-    """Split ``text`` into exactly ``n`` non-empty pieces that concatenate back."""
-    if len(text) < n:
-        text = text + " " * (n - len(text))
-    base, extra = divmod(len(text), n)
-    pieces = []
-    offset = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        pieces.append(text[offset : offset + size])
-        offset += size
-    return pieces
+    """Split ``text``, space-padded to ``n``, into ``n`` non-empty pieces that concatenate
+    back, sizes within one, longer first; sliced at C level on every call."""
+    text = text.ljust(n)
+    if len(text) == n:
+        return list(text)
+    size, extra = divmod(len(text), n)
+    split = extra * (size + 1)
+    return [text[i : i + size + 1] for i in range(0, split, size + 1)] + [
+        text[i : i + size] for i in range(split, len(text), size)
+    ]
+
+
+def _logprobs(raw: np.ndarray) -> np.ndarray:
+    """Logits shifted to proper logprobs (<= 0); metrics are shift-invariant."""
+    shifted = raw - raw.max()
+    return shifted - math.log(float(np.exp(shifted).sum()))
+
+
+@functools.cache
+def _target_logprobs(a: float, n_tokens: int) -> tuple[float, float]:
+    """(first, rest) logprobs of the logits [a, 0, ..., 0], clamped to <= 0. Memoized
+    for each process: one entry per solved target (``a = 0`` for target 1.0)."""
+    first, rest = _logprobs(np.array((a,) + (0.0,) * (n_tokens - 1)))[:2].tolist()
+    return min(0.0, first), min(0.0, rest)
 
 
 class SyntheticBackend:
@@ -120,9 +133,9 @@ class SyntheticBackend:
 
     The schedule entry for a call is ``schedule[len(prior_steps)]``; calls
     past the end reuse the final entry, so runs of any length are served.
-    Entropy targets are solved once per process (see
-    ``logits_for_normalized_entropy``), so repeated entries, and backends
-    that share a schedule, cost no new bisection.
+    Once per process, each entropy target is solved and turned into its two
+    logprobs (``_target_logprobs``); each call only slices the text and builds
+    one ``TokenRecord`` per distinct (piece, logprob) pair.
     """
 
     def __init__(self, schedule: Sequence[SyntheticStep]):
@@ -142,26 +155,24 @@ class SyntheticBackend:
         index = min(len(request.prior_steps), len(self._schedule) - 1)
         entry = self._schedule[index]
 
-        if entry.logprobs is not None:
-            raw = np.asarray(entry.logprobs, dtype=np.float64)
-        else:
-            raw = np.asarray(
-                logits_for_normalized_entropy(
-                    entry.target_normalized_entropy, entry.n_tokens
-                )
-            )
-        # Shift to proper logprobs (<= 0); metrics are shift-invariant.
-        shifted = raw - raw.max()
-        logprobs = shifted - math.log(float(np.exp(shifted).sum()))
-
         text = entry.text or f"synthetic step {index + 1} of the reasoning schedule."
-        pieces = _chunk_text(text, len(logprobs))
-        # Equal (piece, logprob) pairs share one record: a target step has
-        # two distinct logprobs and padding repeats one piece. The table
-        # lives for this call only.
-        keys = list(zip(pieces, logprobs.tolist()))
-        shared = {key: TokenRecord(key[0], min(0.0, key[1])) for key in dict.fromkeys(keys)}
-        tokens = tuple(map(shared.__getitem__, keys))
+        if entry.logprobs is not None:
+            logprobs = _logprobs(np.asarray(entry.logprobs, dtype=np.float64)).tolist()
+            pieces = _chunk_text(text, len(logprobs))
+            # Equal (piece, logprob) pairs share one record, for this call only.
+            keys = list(zip(pieces, logprobs))
+            shared = {key: TokenRecord(key[0], min(0.0, key[1])) for key in dict.fromkeys(keys)}
+            tokens = tuple(map(shared.__getitem__, keys))
+        else:
+            logits = logits_for_normalized_entropy(entry.target_normalized_entropy, entry.n_tokens)
+            first, rest = _target_logprobs(logits[0], len(logits))
+            pieces = _chunk_text(text, len(logits))
+            # Solved through the public name on every step, so traced runs count
+            # solver calls. Tokens after the head share one record per distinct
+            # piece, at ``rest``; the head joins them only when first == rest.
+            shared = {piece: TokenRecord(piece, rest) for piece in dict.fromkeys(pieces[1:])}
+            head = shared.get(pieces[0]) if first == rest else None
+            tokens = (head or TokenRecord(pieces[0], first), *map(shared.__getitem__, pieces[1:]))
         finish = (
             FinishReason.ANSWER_MARKER
             if detect_answer_marker(text, DEFAULT_ANSWER_MARKER)

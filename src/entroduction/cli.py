@@ -89,6 +89,15 @@ def _build(make, *args, **values):
         raise ConfigurationError(str(exc)) from exc
 
 
+def _open_output(path: str | None):
+    """``path`` opened for writing, or a context of None without a path. Commands
+    open outputs before any backend call, so an unwritable path costs no run."""
+    try:
+        return open(path, "w", encoding="utf-8") if path else nullcontext()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
 def build_backend(settings: dict):
     name = settings["backend"]
     if name == "synthetic":
@@ -216,11 +225,12 @@ def run_command(task, out, summary_out, **settings) -> None:
     """Run one task and print its conclusion and run statistics."""
     backend = build_backend(settings)
     config = build_run_config(settings)
-    result = _build(run_task, task, config, backend)
-    if out:
-        export_trace(result, out)
-    if summary_out:
-        export_chain_summary(result, summary_out)
+    with _open_output(out) as trace_sink, _open_output(summary_out) as summary_sink:
+        result = _build(run_task, task, config, backend)
+        if trace_sink:
+            export_trace(result, trace_sink)
+        if summary_sink:
+            export_chain_summary(result, summary_sink)
     if result.aborted:
         raise BackendError(result.error)
     click.echo(f"conclusion: {result.conclusion!r}")
@@ -254,7 +264,7 @@ def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings
     run_config = build_run_config(settings)
     params = _build(replace, BASELINE_DEFAULTS, **_given(settings, BaselineParams))
     tasks = load_dataset(dataset, task_kind, strict=strict)
-    with open(trace_out, "w", encoding="utf-8") if trace_out else nullcontext() as sink:
+    with _open_output(out) as report_sink, _open_output(trace_out) as sink:
         def on_result(task, result):
             export_trace(result, sink, task_id=task.id)
 
@@ -262,8 +272,8 @@ def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings
             method, tasks, backend, run_config=run_config, params=params,
             on_result=on_result if sink is not None else None,
         )
-    if out:
-        report.save(out)
+        if report_sink:
+            report_sink.write(report.to_json() + "\n")
     click.echo(
         f"method: {report.method}  accuracy: {report.accuracy:.4f}  "
         f"mean steps/task: {report.mean_steps:.2f}  "
@@ -286,10 +296,9 @@ def trace_command(source, out, summary) -> None:
         raise DatasetError(f"cannot read {source}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"bad trace line: {exc}") from exc
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row) + "\n")
+    with _open_output(out) as handle:
+        if handle:
+            handle.writelines(json.dumps(row) + "\n" for row in rows)
     if summary:
         click.echo(format_summary(summarize_trace(rows)), nl=False)
 

@@ -16,7 +16,6 @@ import enum
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 from ..backends.base import Backend, BackendError
@@ -71,9 +70,6 @@ class BenchmarkReport:
             },
             indent=2,
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
 
 def _vote_over(task: TaskInstance, answers: Sequence[tuple[str, float]]) -> str:

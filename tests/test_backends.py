@@ -9,7 +9,10 @@ import threading
 from importlib import resources
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import A30, P11, UNIFORM4, make_step, synthetic_schedule
 from entroduction.backends import (
@@ -27,7 +30,7 @@ from entroduction.backends import (
 )
 from entroduction.backends import base
 from entroduction.backends.scripted import step_to_json
-from entroduction.backends.synthetic import _solve
+from entroduction.backends.synthetic import _chunk_text, _solve
 from entroduction.metrics import TokenRecord, compute_step_metrics
 
 
@@ -56,6 +59,62 @@ PINNED_PIECES = {
 
 def request(prior=()) -> GenerationRequest:
     return GenerationRequest(system_prompt="sys", task="q", prior_steps=tuple(prior))
+
+
+def reference_chunk_text(text: str, n: int) -> list[str]:
+    """The piece split as one slice per loop iteration: the reference."""
+    if len(text) < n:
+        text = text + " " * (n - len(text))
+    base, extra = divmod(len(text), n)
+    pieces = []
+    offset = 0
+    for i in range(n):
+        size = base + (1 if i < extra else 0)
+        pieces.append(text[offset : offset + size])
+        offset += size
+    return pieces
+
+
+def reference_tokens(entry: SyntheticStep) -> tuple[TokenRecord, ...]:
+    """The first step of a one-entry schedule, built token by token over
+    numpy logprobs of length n, one record per distinct (piece, logprob)
+    key: the reference for the build per distinct piece."""
+    if entry.logprobs is not None:
+        raw = np.asarray(entry.logprobs, dtype=np.float64)
+    else:
+        raw = np.asarray(
+            logits_for_normalized_entropy(entry.target_normalized_entropy, entry.n_tokens)
+        )
+    shifted = raw - raw.max()
+    logprobs = shifted - math.log(float(np.exp(shifted).sum()))
+    text = entry.text or "synthetic step 1 of the reasoning schedule."
+    keys = list(zip(reference_chunk_text(text, len(logprobs)), logprobs.tolist()))
+    shared = {key: TokenRecord(key[0], min(0.0, key[1])) for key in dict.fromkeys(keys)}
+    return tuple(map(shared.__getitem__, keys))
+
+
+def sharing(tokens) -> list[int]:
+    """Each token's position of the first token that is the same object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(token), i) for i, token in enumerate(tokens)]
+
+
+@st.composite
+def synthetic_entries(draw) -> SyntheticStep:
+    """Target and explicit-logprob entries, with texts shorter than, as long
+    as and longer than the step, from a small alphabet so pieces repeat."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 200))
+        target = draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True))
+        entry = dict(target_normalized_entropy=target, n_tokens=n)
+    else:
+        value = st.floats(-40.0, 10.0) | st.sampled_from([-1.0, -2.5, 0.0])
+        logprobs = draw(st.lists(value, min_size=1, max_size=200))
+        n = len(logprobs)
+        entry = dict(logprobs=logprobs)
+    length = draw(st.sampled_from([n - 1, n, n + 1]) | st.integers(0, 3 * n))
+    text = draw(st.none() | st.text("ab. é", min_size=length, max_size=length))
+    return SyntheticStep(text=text, **entry)
 
 
 class TestDetectAnswerMarker:
@@ -207,6 +266,29 @@ class TestSyntheticBackend:
         assert len({id(t) for t in tokens}) == len(distinct) < len(tokens)
         # The sharing table lives for one call only.
         assert backend.generate_step(request()).tokens[-1] is not tokens[-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(synthetic_entries())
+    def test_step_equals_reference(self, entry):
+        tokens = SyntheticBackend([entry]).generate_step(request()).tokens
+        expected = reference_tokens(entry)
+        assert [t.text for t in tokens] == [t.text for t in expected]
+        assert [t.chosen_logprob.hex() for t in tokens] == [
+            t.chosen_logprob.hex() for t in expected
+        ]
+        assert sharing(tokens) == sharing(expected)
+
+    @given(st.text(max_size=300), st.integers(1, 120))
+    @example("", 1)
+    @example("", 7)
+    def test_chunk_text_properties(self, text, n):
+        pieces = _chunk_text(text, n)
+        assert len(pieces) == n and all(pieces)
+        assert "".join(pieces) == text.ljust(n)
+        sizes = [len(piece) for piece in pieces]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] - sizes[-1] <= 1
+        assert pieces == reference_chunk_text(text, n)
 
     def test_keyed_by_depth_not_call_count(self):
         backend = SyntheticBackend(synthetic_schedule([UNIFORM4, A30, P11]))

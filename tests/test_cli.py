@@ -192,6 +192,34 @@ class TestBenchCommand:
         assert {r["task_id"] for r in rows} == {"a", "b"}
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be opened is a configuration error, raised
+    before any run, so no work is lost to it."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("run", "--out"), ("run", "--summary-out"), ("bench", "--out"), ("bench", "--trace-out")],
+    )
+    def test_exits_before_any_run(self, tmp_path, calls, command, flag):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "1"}])
+        args = ["run", "q"] if command == "run" else ["bench", "--dataset", str(dataset)]
+        missing = tmp_path / "missing" / "out"
+        result = CliRunner().invoke(main, args + ["--max-steps", "3", flag, str(missing)])
+        assert_config_exit(result)
+        assert f"configuration error: cannot write {missing}" in result.output
+        assert "run_task" not in calls and "run_benchmark" not in calls
+
+    def test_trace_reexport(self, tmp_path):
+        source = tmp_path / "trace.jsonl"
+        CliRunner().invoke(main, ["run", "q", "--max-steps", "3", "--out", str(source)])
+        result = CliRunner().invoke(
+            main, ["trace", str(source), "--out", str(tmp_path / "missing" / "copy.jsonl")]
+        )
+        assert_config_exit(result)
+        assert "configuration error: cannot write" in result.output
+
+
 class TestConfigFile:
     def test_file_values_used(self, tmp_path):
         config = tmp_path / "run.conf"

@@ -357,13 +357,11 @@ class TestRunBenchmark:
         recomputed = sum(r.correct for r in report.records) / len(report.records)
         assert abs(report.accuracy - recomputed) <= 1e-12
 
-    def test_report_roundtrip(self, tmp_path):
+    def test_report_roundtrip(self):
         tasks = fixture_tasks(2)
         backend = ScriptedBackend(marker_fixture_for(["1", "2"]))
         report = run_benchmark(Method.ENTRODUCTION, tasks, backend, run_config=self.config())
-        out = tmp_path / "report.json"
-        report.save(out)
-        data = json.loads(out.read_text())
+        data = json.loads(report.to_json())
         assert data["accuracy"] == 1.0
         assert len(data["records"]) == 2
 
