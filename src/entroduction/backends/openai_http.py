@@ -103,6 +103,10 @@ class OpenAIChatBackend:
             raise ConfigurationError("model is required")
         if max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be >= 1")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigurationError(f"timeout must be finite and > 0, got {timeout}")
+        if not (math.isfinite(retry_backoff) and retry_backoff >= 0):
+            raise ConfigurationError(f"retry_backoff must be finite and >= 0, got {retry_backoff}")
         self._url = self._completions_url(endpoint)
         self._model = model
         self._headers = {"Content-Type": "application/json"}

@@ -1,16 +1,16 @@
 """Fixed-shape baseline runners: plain chains, self-consistency, and trees.
 
-Step accounting is exact and computed from the parameters, never hard-coded:
-a plain chain costs ``steps`` nodes, self-consistency costs ``chains *
-steps``, and a tree with ``branching`` children per node over ``layers``
-levels (root level included) costs sum(branching**k for k in range(layers))
-nodes. Final-answer elicitation calls are tracked separately from reasoning
-steps. Requests and elicitation go through the engine's request helpers, so
-a ``RunConfig`` sets sampling, prompt and marker for both the adaptive method
-and these baselines. Chains advance in rounds through the engine's
-``generate_all``; a tree runs on one ``CallScheduler``, which sends a node's
-children as soon as its step returns and a leaf's elicitation as soon as the
-leaf returns.
+Each shape is ``roots`` trees with ``branching`` children per node over
+``layers`` levels (root level included): a plain chain is (1, 1, steps),
+self-consistency (chains, 1, steps) and a tree (1, branching, layers). Step
+accounting is exact and computed from the parameters, never hard-coded: a
+shape costs roots * sum(branching**k for k in range(layers)) nodes.
+Final-answer elicitation calls are tracked separately from reasoning steps.
+Requests and elicitation go through the engine's request helpers, so a
+``RunConfig`` sets sampling, prompt and marker for both the adaptive method
+and these baselines. Every shape runs on one ``CallScheduler``, which sends a
+node's children as soon as its step returns and a leaf's elicitation as soon
+as the leaf returns, so no chain waits for another chain's steps.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from contextlib import closing
 from dataclasses import dataclass
 
 from ..backends.base import Backend, detect_answer_marker
-from ..engine import (
-    CallScheduler, RunConfig, conclusion_request, elicited_answer, generate_all, request_for
-)
+from ..engine import CallScheduler, RunConfig, conclusion_request, elicited_answer, request_for
 
 __all__ = [
     "BaselineMethod",
@@ -93,9 +91,6 @@ class BaselineOutcome:
     conclusion_calls: int
 
 
-Transcript = tuple[str, ...]
-
-
 def run_chain_baseline(
     task: str,
     params: BaselineParams,
@@ -104,31 +99,12 @@ def run_chain_baseline(
     n_chains: int | None = None,
     config: RunConfig = RunConfig(),
 ) -> BaselineOutcome:
-    """Fixed-length chains: every chain generates exactly ``params.steps``
-    nodes (no early stopping, so accounting stays exact), one step of every
-    chain at a time, then one answer per chain. ``config`` supplies the
+    """Fixed-length chains: ``n_chains`` (default ``params.chains``) chains
+    of exactly ``params.steps`` nodes each, with no early stopping, so
+    accounting stays exact; one answer per chain. ``config`` supplies the
     sampling settings, system prompt and answer marker."""
     chains = n_chains if n_chains is not None else params.chains
-    transcripts: list[Transcript] = [()] * chains
-    for _ in range(params.steps):
-        requests = [request_for(config, task, path) for path in transcripts]
-        generations = list(generate_all(backend, requests))
-        transcripts = [path + (g.text,) for path, g in zip(transcripts, generations)]
-
-    # A stated answer inside the transcript stands in for elicitation.
-    stated = []
-    for prior in transcripts:
-        hits = [
-            m
-            for m in (detect_answer_marker(t, config.answer_marker) for t in prior)
-            if m is not None
-        ]
-        stated.append(hits[-1] if hits else None)
-    asked = [path for path, found in zip(transcripts, stated) if found is None]
-    requests = [conclusion_request(config, task, path) for path in asked]
-    elicited = (elicited_answer(config, g) for g in list(generate_all(backend, requests)))
-    answers = [found if found is not None else next(elicited) for found in stated]
-    return BaselineOutcome(answers, chains * params.steps, len(asked))
+    return _run_trees(task, chains, 1, params.steps, backend, config)
 
 
 def run_tree_baseline(
@@ -138,28 +114,37 @@ def run_tree_baseline(
     *,
     config: RunConfig = RunConfig(),
 ) -> BaselineOutcome:
-    """Full tree expansion: one root step, then ``branching`` children per
-    node for ``layers - 1`` further levels; answers come from the leaves, in
-    breadth-first order. A node's children are requested as soon as its step
-    returns, and a leaf's elicitation as soon as the leaf returns; a serial
-    backend is still called layer by layer. ``config`` supplies the sampling
-    settings, system prompt and answer marker."""
+    """Full tree expansion: one root step, then ``params.branching``
+    children per node for ``params.layers - 1`` further levels; one answer
+    per leaf. ``config`` supplies the sampling settings, system prompt and
+    answer marker."""
+    return _run_trees(task, 1, params.branching, params.layers, backend, config)
+
+
+def _run_trees(
+    task: str, roots: int, branching: int, layers: int, backend: Backend, config: RunConfig
+) -> BaselineOutcome:
+    """One answer per leaf, in breadth-first order: the last answer stated
+    on the leaf's path, else one elicitation call's. A serial backend is
+    called layer by layer."""
     asked: dict[tuple, tuple] = {}  # elicitation position -> leaf position
     answers: dict[tuple, str] = {}  # leaf position -> answer
     steps_generated = 0
     with closing(CallScheduler(backend)) as calls:
-        priors = {calls.submit(request_for(config, task, ())): ()}
+        priors = {calls.submit(request_for(config, task, ())): () for _ in range(roots)}
         for position, generation in calls:
             if position in asked:
                 answers[asked[position]] = elicited_answer(config, generation)
                 continue
             path = priors.pop(position) + (generation.text,)
             steps_generated += 1
-            if len(path) < params.layers:
-                for _ in range(params.branching):
+            if len(path) < layers:
+                for _ in range(branching):
                     priors[calls.submit(request_for(config, task, path))] = path
-            elif (stated := detect_answer_marker(path[-1], config.answer_marker)) is None:
+                continue
+            stated = (detect_answer_marker(text, config.answer_marker) for text in reversed(path))
+            if (answer := next((a for a in stated if a is not None), None)) is None:
                 asked[calls.submit(conclusion_request(config, task, path))] = position
             else:
-                answers[position] = stated
+                answers[position] = answer
     return BaselineOutcome([answers[p] for p in sorted(answers)], steps_generated, len(asked))

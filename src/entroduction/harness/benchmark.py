@@ -145,7 +145,7 @@ def run_benchmark(
     ``on_result`` receives each adaptive run, an aborted one with its
     partial trace (for trace export).
     Within a task, independent backend calls go out together, up to the
-    backend's ``max_in_flight`` (see ``engine.generate_all``); results do
+    backend's ``max_in_flight`` (see ``engine.CallScheduler``); results do
     not depend on it. Tasks run one after another. A backend error ends
     only its own task, recorded with ``error`` set.
     """

@@ -13,7 +13,7 @@ import re
 from typing import Sequence
 
 from ..backends.base import DEFAULT_ANSWER_MARKER
-from .datasets import TaskKind
+from .datasets import OPTION_LABELS, TaskKind
 
 __all__ = [
     "Position",
@@ -28,8 +28,6 @@ PAREN_LETTER_RE = re.compile(r"\(([A-Za-z])\)")
 # Uppercase only: a lowercase bare "a" is usually the article, not a label.
 BARE_LETTER_RE = re.compile(r"\b([A-J])\b")
 YES_NO_RE = re.compile(r"\b(yes|no|true|false)\b", re.IGNORECASE)
-
-OPTION_LABELS = "ABCDEFGHIJ"
 
 
 class Position(enum.Enum):
@@ -76,6 +74,8 @@ def clean_answer_choice(pred: str, options: Sequence[str]) -> str:
     """
     if not options:
         raise ValueError("options must be non-empty")
+    if len(options) > len(OPTION_LABELS):
+        raise ValueError(f"at most {len(OPTION_LABELS)} options can be labeled")
     if _is_boolean_options(options):
         return _normalize_boolean(pred)
 

@@ -1,7 +1,7 @@
 """Benchmark dataset ingestion.
 
 Datasets are JSONL with fields ``id``, ``question``, and ``answer``; choice
-tasks may add an ``options`` list of strings. Grade-school math files that
+tasks add an ``options`` list of 1 to 10 strings. Grade-school math files that
 embed the gold answer after a ``####`` marker are unwrapped on load.
 """
 
@@ -19,6 +19,8 @@ __all__ = ["TaskKind", "TaskInstance", "DatasetError", "load_dataset", "extract_
 logger = logging.getLogger(__name__)
 
 GOLD_MARKER_RE = re.compile(r"####\s*(.+)")
+# One label per option of a choice task, so a choice task has at most ten.
+OPTION_LABELS = "ABCDEFGHIJ"
 
 
 class TaskKind(enum.Enum):
@@ -45,6 +47,10 @@ class TaskInstance:
             raise ValueError("gold_answer must be non-empty")
         if not self.question.strip():
             raise ValueError("question must be non-empty")
+        if self.task_kind is TaskKind.MULTIPLE_CHOICE and not (
+            1 <= len(self.options) <= len(OPTION_LABELS)
+        ):
+            raise ValueError(f"a choice task needs 1 to {len(OPTION_LABELS)} options")
 
 
 def extract_gold_answer(answer: str) -> str:

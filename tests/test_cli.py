@@ -146,6 +146,18 @@ class TestBenchCommand:
         assert result.exit_code == 3
         assert "dataset error" in result.output
 
+    @pytest.mark.parametrize("options", [None, [], [f"opt{i}" for i in range(11)]])
+    def test_choice_row_without_usable_options_is_dataset_error(self, tmp_path, options):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "which?", "answer": "A",
+                                 "options": options}])
+        result = CliRunner().invoke(
+            main, ["bench", "--dataset", str(dataset), "--task-kind", "choice"]
+        )
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "dataset error: " in result.output
+
     def test_bench_openai_backend(self, tmp_path):
         dataset = tmp_path / "tasks.jsonl"
         write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "4"}])

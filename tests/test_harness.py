@@ -157,6 +157,25 @@ class TestLoadDataset:
         tasks = load_dataset(path, TaskKind.MULTIPLE_CHOICE)
         assert tasks[0].options == ("home", "office", "park")
 
+    @pytest.mark.parametrize("options", [(), tuple(f"opt{i}" for i in range(11))])
+    def test_choice_task_needs_one_to_ten_options(self, options):
+        with pytest.raises(ValueError, match="1 to 10 options"):
+            TaskInstance("c", "which?", "A", TaskKind.MULTIPLE_CHOICE, options)
+        assert TaskInstance("n", "how many?", "4", TaskKind.NUMERIC_MATH, options)
+
+    def test_choice_rows_without_usable_options(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [
+            {"id": "none", "question": "which?", "answer": "A"},
+            {"id": "many", "question": "which?", "answer": "A",
+             "options": [f"opt{i}" for i in range(12)]},
+            {"id": "ok", "question": "which?", "answer": "A", "options": ["x", "y"]},
+        ])
+        tasks = load_dataset(path, TaskKind.MULTIPLE_CHOICE)
+        assert [task.id for task in tasks] == ["ok"]
+        with pytest.raises(DatasetError, match=r"d.jsonl:1: .*1 to 10 options"):
+            load_dataset(path, TaskKind.MULTIPLE_CHOICE, strict=True)
+
 
 NUMERIC_CASES = [
     ("So we get 1,234 apples.", Position.LAST, "1234"),
@@ -227,6 +246,12 @@ class TestChoiceCleansing:
     def test_requires_options(self):
         with pytest.raises(ValueError):
             clean_answer_choice("x", [])
+
+    def test_rejects_more_options_than_labels(self):
+        options = [f"opt{i}" for i in range(12)]
+        with pytest.raises(ValueError, match="at most 10 options"):
+            clean_answer_choice("pick opt11", options)
+        assert clean_answer_choice("pick opt9", options[:10]) == "J"
 
     def test_dispatch(self):
         assert clean_answer("got 7", TaskKind.NUMERIC_MATH) == "7"

@@ -549,6 +549,16 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="max_in_flight"):
             OpenAIChatBackend(endpoint="http://h/v1", model="m", max_in_flight=0)
 
+    @pytest.mark.parametrize("setting", [
+        {"timeout": 0}, {"timeout": -1}, {"timeout": float("nan")}, {"timeout": float("inf")},
+        {"retry_backoff": -1}, {"retry_backoff": float("nan")},
+        {"retry_backoff": float("inf")},
+    ])
+    def test_bad_timing_rejected_when_built(self, setting):
+        name = next(iter(setting))
+        with pytest.raises(ConfigurationError, match=name):
+            OpenAIChatBackend(endpoint="http://h/v1", model="m", **setting)
+
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("ENTRODUCTION_ENDPOINT", raising=False)
         monkeypatch.delenv("OPENAI_BASE_URL", raising=False)
