@@ -24,6 +24,8 @@ __all__ = ["ScriptedBackend", "load_fixture", "dump_fixture"]
 
 
 def _token_from_json(obj: dict) -> TokenRecord:
+    if not isinstance(obj, dict):
+        raise TypeError(f"token entry must be an object, got {obj!r}")
     top = obj.get("top")
     alternatives = None
     if top:

@@ -5,7 +5,8 @@ a target normalized step entropy that is realized by solving a one-hot logit
 family with bisection. The entry used for a call is chosen by how many prior
 steps the request carries, so two chains at the same depth see the same
 schedule entry and every formula and control path becomes reproducible
-without a model.
+without a model. A backend builds each index's step once and returns that
+same frozen step for every later call at the index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..metrics import TokenRecord, step_entropy, step_softmax
+from ..metrics import TokenRecord, _softmax_terms
 from .base import (
     DEFAULT_ANSWER_MARKER,
     FinishReason,
@@ -57,13 +58,14 @@ def _check_target(target: float, n_tokens: int) -> None:
 
 @functools.cache
 def _solve(target: float, n_tokens: int, tolerance: float) -> float:
-    """The ``a`` of [a, 0, ..., 0] that realizes ``target``, by bisection."""
+    """The ``a`` of [a, 0, ..., 0] that realizes ``target``, by bisection.
+    ``a`` stays in [0, 1e6], so the logits are finite and go unchecked."""
     max_entropy = math.log2(n_tokens)
+    logits = np.zeros(n_tokens)
 
     def normalized(a: float) -> float:
-        logits = np.zeros(n_tokens)
         logits[0] = a
-        return step_entropy(step_softmax(logits)) / max_entropy
+        return _softmax_terms(logits)[0] / max_entropy
 
     lo, hi = 0.0, 1.0
     while normalized(hi) > target:
@@ -134,8 +136,9 @@ class SyntheticBackend:
     The schedule entry for a call is ``schedule[len(prior_steps)]``; calls
     past the end reuse the final entry, so runs of any length are served.
     Once per process, each entropy target is solved and turned into its two
-    logprobs (``_target_logprobs``); each call only slices the text and builds
-    one ``TokenRecord`` per distinct (piece, logprob) pair.
+    logprobs (``_target_logprobs``). Once per backend, each schedule index
+    is built into one frozen ``StepGeneration``, with one ``TokenRecord`` per
+    distinct (piece, logprob) pair; later calls at that index return it.
     """
 
     def __init__(self, schedule: Sequence[SyntheticStep]):
@@ -144,6 +147,7 @@ class SyntheticBackend:
         self._schedule = list(schedule)
         self._lock = threading.Lock()
         self._calls = 0
+        self._steps: dict[int, StepGeneration] = {}
 
     @property
     def calls_made(self) -> int:
@@ -153,13 +157,15 @@ class SyntheticBackend:
         with self._lock:
             self._calls += 1
         index = min(len(request.prior_steps), len(self._schedule) - 1)
+        step = self._steps.get(index)
+        if step is not None:
+            return step
         entry = self._schedule[index]
-
         text = entry.text or f"synthetic step {index + 1} of the reasoning schedule."
         if entry.logprobs is not None:
             logprobs = _logprobs(np.asarray(entry.logprobs, dtype=np.float64)).tolist()
             pieces = _chunk_text(text, len(logprobs))
-            # Equal (piece, logprob) pairs share one record, for this call only.
+            # Equal (piece, logprob) pairs share one record.
             keys = list(zip(pieces, logprobs))
             shared = {key: TokenRecord(key[0], min(0.0, key[1])) for key in dict.fromkeys(keys)}
             tokens = tuple(map(shared.__getitem__, keys))
@@ -167,9 +173,10 @@ class SyntheticBackend:
             logits = logits_for_normalized_entropy(entry.target_normalized_entropy, entry.n_tokens)
             first, rest = _target_logprobs(logits[0], len(logits))
             pieces = _chunk_text(text, len(logits))
-            # Solved through the public name on every step, so traced runs count
-            # solver calls. Tokens after the head share one record per distinct
-            # piece, at ``rest``; the head joins them only when first == rest.
+            # Solved through the public name once per index and backend, so
+            # traced runs count solver calls. Tokens after the head share one
+            # record per distinct piece, at ``rest``; the head joins them only
+            # when first == rest.
             shared = {piece: TokenRecord(piece, rest) for piece in dict.fromkeys(pieces[1:])}
             head = shared.get(pieces[0]) if first == rest else None
             tokens = (head or TokenRecord(pieces[0], first), *map(shared.__getitem__, pieces[1:]))
@@ -178,4 +185,6 @@ class SyntheticBackend:
             if detect_answer_marker(text, DEFAULT_ANSWER_MARKER)
             else FinishReason.STOP_SEQUENCE
         )
-        return StepGeneration(text="".join(pieces), tokens=tokens, finish_reason=finish)
+        # Racing builds of an index are equal; every caller gets the first stored.
+        step = StepGeneration(text="".join(pieces), tokens=tokens, finish_reason=finish)
+        return self._steps.setdefault(index, step)

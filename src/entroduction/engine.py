@@ -135,6 +135,8 @@ class RunConfig:
             raise ValueError("max_steps must be >= 1")
         if self.max_chains < 1:
             raise ValueError("max_chains must be >= 1")
+        # The run's requests carry these sampling values: check them as a request does.
+        request_for(self, "", ())
 
 
 @dataclass

@@ -89,14 +89,25 @@ def _entropy_and_contributions(p: np.ndarray) -> tuple[float, np.ndarray]:
     The entropy sums the positive entries' p*log2(p) alone, so numpy's
     pairwise grouping does not depend on how many probabilities underflowed
     to 0, and subtracts the total from 0, so a zero entropy is +0.0 where a
-    negation would give -0.0.
+    negation would give -0.0. With every entry positive, the usual case, the
+    same terms come from ``p`` unmasked; a zero, negative or NaN entry masks.
     """
+    if p.size and p.min() > 0.0:
+        plogp = p * np.log2(p)
+        return float(0.0 - plogp.sum()), -plogp
     positive = p > 0.0
     q = p[positive]
     plogp = q * np.log2(q)
     series = np.zeros_like(p)
     series[positive] = -plogp
     return float(0.0 - plogp.sum()), series
+
+
+def _softmax_terms(logits: np.ndarray) -> tuple[float, np.ndarray]:
+    """``_entropy_and_contributions`` of the softmax of finite 1-D ``logits``,
+    as ``step_softmax`` computes it but without its checks."""
+    weights = np.exp(logits - logits.max())
+    return _entropy_and_contributions(weights / weights.sum())
 
 
 def step_softmax(logits: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -183,8 +194,7 @@ def compute_step_metrics(records: Iterable[TokenRecord]) -> StepMetrics:
     n = logits.size
     if n == 0:
         raise ValueError("empty step")
-    weights = np.exp(logits - logits.max())
-    entropy, series = _entropy_and_contributions(weights / weights.sum())
+    entropy, series = _softmax_terms(logits)
     mean = series.sum() / n
     # The population variance, computed term for term as np.var does.
     var = float(((series - mean) ** 2).sum() / n)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import threading
 from importlib import resources
 from types import SimpleNamespace
@@ -14,7 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import A30, P11, UNIFORM4, make_step, synthetic_schedule
+from helpers import (
+    A30,
+    P11,
+    UNIFORM4,
+    make_step,
+    masked_entropy_and_contributions,
+    synthetic_schedule,
+)
 from entroduction.backends import (
     BackendError,
     FinishReason,
@@ -31,7 +39,7 @@ from entroduction.backends import (
 from entroduction.backends import base
 from entroduction.backends.scripted import step_to_json
 from entroduction.backends.synthetic import _chunk_text, _solve
-from entroduction.metrics import TokenRecord, compute_step_metrics
+from entroduction.metrics import TokenRecord, compute_step_metrics, step_softmax
 
 
 STEP_TEXT = "Work through the next part of the sum."
@@ -91,6 +99,35 @@ def reference_tokens(entry: SyntheticStep) -> tuple[TokenRecord, ...]:
     keys = list(zip(reference_chunk_text(text, len(logprobs)), logprobs.tolist()))
     shared = {key: TokenRecord(key[0], min(0.0, key[1])) for key in dict.fromkeys(keys)}
     return tuple(map(shared.__getitem__, keys))
+
+
+def validated_solve(target: float, n_tokens: int, tolerance: float = 1e-9) -> float:
+    """The bisection with every evaluation checked: a fresh logit array
+    through ``step_softmax``, the distribution checks of ``step_entropy``,
+    then the masked entropy kernel. The reference for ``_solve``."""
+    max_entropy = math.log2(n_tokens)
+
+    def normalized(a: float) -> float:
+        logits = np.zeros(n_tokens)
+        logits[0] = a
+        p = step_softmax(logits)
+        assert p.ndim == 1 and not np.any(p < 0.0) and abs(float(p.sum()) - 1.0) <= 1e-9
+        return masked_entropy_and_contributions(p)[0] / max_entropy
+
+    lo, hi = 0.0, 1.0
+    while normalized(hi) > target:
+        hi *= 2.0
+        if hi > 1e6:
+            raise ValueError(f"cannot realize normalized entropy {target}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if normalized(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tolerance * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 def sharing(tokens) -> list[int]:
@@ -180,6 +217,14 @@ class TestScriptedBackend:
         with pytest.raises(BackendError, match="bad fixture line 1"):
             load_fixture(path)
 
+    @pytest.mark.parametrize("token", [5, "x", ["x", -0.1], None])
+    def test_non_object_token_is_bad_fixture_line(self, tmp_path, token):
+        path = tmp_path / "bad.jsonl"
+        line = {"text": "a", "finish_reason": "stop_sequence", "tokens": [token]}
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        with pytest.raises(BackendError, match="bad fixture line 1: token entry must be an object"):
+            load_fixture(path)
+
     def test_huge_integer_logprob_is_bad_fixture_line(self, tmp_path):
         path = tmp_path / "huge.jsonl"
         line = {"text": "x", "finish_reason": "stop_sequence",
@@ -264,8 +309,36 @@ class TestSyntheticBackend:
         assert padding and all(t is padding[0] for t in padding)
         distinct = {(t.text, t.chosen_logprob) for t in tokens}
         assert len({id(t) for t in tokens}) == len(distinct) < len(tokens)
-        # The sharing table lives for one call only.
-        assert backend.generate_step(request()).tokens[-1] is not tokens[-1]
+        # One step per index, built by each backend; every call is counted.
+        assert backend.generate_step(request()).tokens is tokens
+        assert SyntheticBackend([entry]).generate_step(request()).tokens is not tokens
+        assert backend.calls_made == 2
+
+    def test_threads_get_one_step_per_index(self):
+        schedule = [SyntheticStep(target_normalized_entropy=t, n_tokens=16) for t in (0.3, 0.6, 0.9)]
+        backend = SyntheticBackend(schedule)
+        barrier = threading.Barrier(8, timeout=10)
+        seen = [[] for _ in range(8)]
+
+        def call(slot):
+            barrier.wait()
+            for i in range(60):
+                seen[slot].append(backend.generate_step(request(("s",) * (i % 3))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.calls_made == 8 * 60
+        for depth in range(3):
+            assert len({id(steps[i]) for steps in seen for i in range(depth, 60, 3)}) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(synthetic_entries())
@@ -347,6 +420,17 @@ class TestLogitsForTarget:
                 uncached = (_solve.__wrapped__(target, n, 1e-9),) + (0.0,) * (n - 1)
             assert logits_for_normalized_entropy(target, n) == uncached
             assert logits_for_normalized_entropy(target, n) == uncached
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_solve_equals_validated_bisection_on_sweep_keys(self, n):
+        # Every target the synthetic_sweep benchmark can draw at this length.
+        for target in (round(k / 1000, 3) for k in range(50, 1000)):
+            assert _solve.__wrapped__(target, n, 1e-9).hex() == validated_solve(target, n).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(2, 300))
+    def test_solve_equals_validated_bisection(self, target, n):
+        assert _solve.__wrapped__(target, n, 1e-9).hex() == validated_solve(target, n).hex()
 
     @pytest.mark.parametrize(
         "target, n, solved",

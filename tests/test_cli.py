@@ -97,6 +97,17 @@ class TestRunCommand:
         assert result.exit_code == 2
         assert "backend failure" in result.output
 
+    def test_non_object_fixture_token_is_backend_failure(self, tmp_path):
+        fixture = tmp_path / "fixture.jsonl"
+        line = {"text": "a", "finish_reason": "stop_sequence", "tokens": [5]}
+        fixture.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["run", "q", "--backend", "scripted", "--fixture", str(fixture)]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "backend failure: bad fixture line 1" in result.output
+
 
 class TestBenchCommand:
     def test_bench_scripted(self, tmp_path):
@@ -360,6 +371,20 @@ class TestUsageErrors:
         result = CliRunner().invoke(main, ["run", "q", *args])
         assert_config_exit(result)
         assert f"configuration error: {message}" in result.output
+
+    @pytest.mark.parametrize("args,message", [
+        (["--max-tokens", "0"], "max_tokens must be >= 1"),
+        (["--temperature", "-1"], "temperature must be finite and >= 0"),
+    ])
+    def test_rejected_sampling_value_stops_bench_before_any_task(
+        self, tmp_path, calls, args, message
+    ):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "1"}])
+        result = CliRunner().invoke(main, ["bench", "--dataset", str(dataset), *args])
+        assert_config_exit(result)
+        assert f"configuration error: {message}" in result.output
+        assert not calls
 
     @pytest.mark.parametrize("task", ["", "   "], ids=["empty", "whitespace"])
     def test_blank_task_is_config_error(self, task):

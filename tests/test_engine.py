@@ -19,7 +19,7 @@ from helpers import (
     make_step,
     synthetic_schedule,
 )
-from entroduction.backends import ScriptedBackend, SyntheticBackend
+from entroduction.backends import GenerationRequest, ScriptedBackend, SyntheticBackend
 from entroduction.engine import (
     ExecutedBehavior,
     RunConfig,
@@ -127,6 +127,19 @@ class TestQuadrantBehaviors:
         assert event.state.delta_variance < 0
         assert event.best_action is Action.DEEPEN
         assert event.executed == ExecutedBehavior.DEEPEN
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("values", [
+        {"temperature": -1.0}, {"temperature": float("nan")}, {"temperature": float("inf")},
+        {"max_tokens": 0}, {"top_logprobs": -1},
+    ])
+    def test_rejects_what_a_request_rejects(self, values):
+        with pytest.raises(ValueError) as request_error:
+            GenerationRequest(system_prompt="s", task="t", **values)
+        with pytest.raises(ValueError) as config_error:
+            RunConfig(**values)
+        assert str(config_error.value) == str(request_error.value)
 
 
 class TestBudgetAndBounds:

@@ -10,11 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import make_records, shifted_logprobs
+from helpers import make_records, masked_entropy_and_contributions, shifted_logprobs
+from entroduction import metrics
 from entroduction.metrics import (
     StepMetrics,
     TokenRecord,
@@ -371,6 +372,47 @@ class TestPinnedBits:
             )
         )
         assert observed == PINNED_METRICS[name]
+
+
+# Down to -800, past exp's underflow at about -745, so some probabilities are 0.
+underflowing_logprobs = st.lists(
+    st.floats(-800.0, 0.0) | st.sampled_from([0.0, -1.0, -745.5, -800.0]),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestUnmaskedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(underflowing_logprobs)
+    @example([-1.0, -2.0, -3.0])
+    @example([0.0, -800.0, -2.0])
+    @example([0.0])
+    def test_equals_masked_path_bit_for_bit(self, logprobs):
+        records = [TokenRecord(f"t{i}", lp) for i, lp in enumerate(logprobs)]
+        p = step_softmax(logprobs)
+
+        def outputs() -> list[str]:
+            m = compute_step_metrics(records)
+            fields = [
+                m.entropy_bits, m.normalized_entropy, m.mean_token_entropy,
+                m.variance_entropy, m.normalized_variance_entropy, step_entropy(p),
+            ]
+            return [v.hex() for v in fields + token_entropies(p).tolist()]
+
+        unmasked = outputs()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                metrics, "_entropy_and_contributions", masked_entropy_and_contributions
+            )
+            assert outputs() == unmasked
+
+    @pytest.mark.parametrize("p", [[math.nan, 1.0], [-0.5, 1.5], [0.0, 1.0], []])
+    def test_non_positive_entries_take_the_masked_path(self, p):
+        arr = np.asarray(p, dtype=np.float64)
+        assert [v.hex() for v in token_entropies(arr).tolist()] == [
+            v.hex() for v in masked_entropy_and_contributions(arr)[1].tolist()
+        ]
 
 
 class TestTokenRecordValidation:
