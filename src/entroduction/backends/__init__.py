@@ -1,4 +1,8 @@
-"""Model backends: HTTP, fixture playback, and synthetic entropy schedules."""
+"""Model backends: HTTP, fixture playback, and synthetic entropy schedules.
+
+``OpenAIChatBackend`` is imported on first access, so ``requests`` loads
+only when the HTTP backend is used.
+"""
 
 from .base import (
     Backend,
@@ -14,7 +18,6 @@ from .base import (
     render_conclusion_prompt,
     render_step_prompt,
 )
-from .openai_http import OpenAIChatBackend
 from .scripted import ScriptedBackend, dump_fixture, load_fixture
 from .synthetic import SyntheticBackend, SyntheticStep, logits_for_normalized_entropy
 
@@ -39,3 +42,11 @@ __all__ = [
     "SyntheticStep",
     "logits_for_normalized_entropy",
 ]
+
+
+def __getattr__(name: str):
+    if name == "OpenAIChatBackend":
+        from .openai_http import OpenAIChatBackend
+
+        return OpenAIChatBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..metrics import TokenRecord
-from .base import BackendError, FinishReason, GenerationRequest, StepGeneration
+from .base import BackendError, ConfigurationError, FinishReason, GenerationRequest, StepGeneration
 
 __all__ = ["ScriptedBackend", "load_fixture", "dump_fixture"]
 
@@ -67,16 +67,20 @@ def step_to_json(step: StepGeneration) -> dict:
 
 
 def load_fixture(path: str | Path) -> list[StepGeneration]:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read fixture {path}: {exc}") from exc
     steps = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                steps.append(step_from_json(json.loads(line)))
-            except (KeyError, ValueError, TypeError, OverflowError) as exc:
-                raise BackendError(f"bad fixture line {line_number}: {exc}") from exc
+    for line_number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            steps.append(step_from_json(json.loads(line)))
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise BackendError(f"bad fixture line {line_number}: {exc}") from exc
     return steps
 
 

@@ -23,7 +23,6 @@ import click
 from .backends import (
     BackendError,
     ConfigurationError,
-    OpenAIChatBackend,
     ScriptedBackend,
     SyntheticBackend,
     SyntheticStep,
@@ -60,7 +59,7 @@ def read_config_file(path: str | None) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     for line_number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -113,6 +112,8 @@ def build_backend(settings: dict):
         if not settings["fixture"]:
             raise ConfigurationError("scripted backend requires --fixture")
         return ScriptedBackend.from_jsonl(settings["fixture"])
+    from .backends.openai_http import OpenAIChatBackend
+
     model = settings["model"]
     if not model:
         raise ConfigurationError("openai backend requires --model")
@@ -290,12 +291,7 @@ def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings
 @click.option("--summary/--no-summary", default=True, help="Print aggregate statistics.")
 def trace_command(source, out, summary) -> None:
     """Inspect or re-export a saved trace."""
-    try:
-        rows = read_trace(source)
-    except OSError as exc:
-        raise DatasetError(f"cannot read {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"bad trace line: {exc}") from exc
+    rows = read_trace(source)
     with _open_output(out) as handle:
         if handle:
             handle.writelines(json.dumps(row) + "\n" for row in rows)

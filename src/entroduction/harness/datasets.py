@@ -89,7 +89,7 @@ def load_dataset(
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
 
     tasks: list[TaskInstance] = []

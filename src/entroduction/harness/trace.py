@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from ..engine import RunResult, TraceEvent
+from .datasets import DatasetError
 
 __all__ = [
     "trace_event_to_dict",
@@ -64,16 +65,35 @@ def export_trace(result: RunResult, sink: str | Path | IO[str], task_id: str = "
             handle.close()
 
 
+# The fields summarize_trace reads from every row.
+SUMMARY_FIELDS = ("chain_id", "executed", "entropy", "j")
+
+
 def read_trace(source: str | Path | IO[str]) -> list[dict]:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    """The rows of a JSONL trace. A file that cannot be read or decoded, or a
+    line that is not a JSON object holding every ``SUMMARY_FIELDS`` key,
+    raises ``DatasetError``."""
+    try:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            text = source.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read {source}: {exc}") from exc
     rows = []
-    for line in text.splitlines():
+    for line_number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if line:
-            rows.append(json.loads(line))
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+            if missing := [key for key in SUMMARY_FIELDS if key not in row]:
+                raise ValueError(f"missing fields {', '.join(missing)}")
+        except ValueError as exc:
+            raise DatasetError(f"bad trace line {line_number}: {exc}") from exc
+        rows.append(row)
     return rows
 
 

@@ -126,17 +126,23 @@ def step_softmax(logits: Sequence[float] | np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``p`` as a non-empty 1-D float64 array of finite, non-negative entries
+    summing to 1 within 1e-9; NaN fails ``>= 0`` and an infinity the sum."""
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("empty step")
+    if not np.all(arr >= 0.0) or abs(float(arr.sum()) - 1.0) > 1e-9:
+        raise ValueError("not a distribution")
+    return arr
+
+
 def step_entropy(p: Sequence[float] | np.ndarray) -> float:
     """Shannon entropy, in bits, of a probability vector.
 
     Uses the convention 0*log2(0) = 0. The input must sum to 1 within 1e-9.
     """
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("empty step")
-    if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise ValueError("not a distribution")
-    return _entropy_and_contributions(arr)[0]
+    return _entropy_and_contributions(_distribution(p))[0]
 
 
 def normalized_step_entropy(entropy_bits: float, n: int) -> float:
@@ -156,9 +162,9 @@ def token_entropies(p: Sequence[float] | np.ndarray) -> np.ndarray:
     """Per-token contributions -p*log2(p) of a probability vector.
 
     The series sums to the step entropy, tying the mean token entropy to
-    entropy/n.
+    entropy/n. The input is checked as ``step_entropy`` checks it.
     """
-    return _entropy_and_contributions(np.asarray(p, dtype=np.float64))[1]
+    return _entropy_and_contributions(_distribution(p))[1]
 
 
 def variance_entropy(token_entropy_values: Sequence[float] | np.ndarray) -> float:

@@ -33,6 +33,9 @@ EXPAND_SCHEDULE = (A30, UNIFORM4, P22)        # step 3 delta: (-H, +V) -> expand
 DEEPEN_SCHEDULE = (UNIFORM4, P11, A30, P11)   # step 3: (-H, -V) deepen, step 4: (+H, +V) stop
 DEEPEN_UP_SCHEDULE = (UNIFORM4, P33, A15)     # step 3 delta: (+H, -V) -> deepen
 
+# Bytes that start like UTF-16 text and do not decode as UTF-8.
+NOT_UTF8 = b"\xff\xfe{\x00}\x00\n\x00"
+
 
 def shifted_logprobs(logits) -> list[float]:
     """Turn an arbitrary logit vector into valid logprobs (<= 0 each)."""

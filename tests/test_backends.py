@@ -5,9 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     A30,
+    NOT_UTF8,
     P11,
     UNIFORM4,
     make_step,
@@ -25,6 +29,7 @@ from helpers import (
 )
 from entroduction.backends import (
     BackendError,
+    ConfigurationError,
     FinishReason,
     GenerationRequest,
     ScriptedBackend,
@@ -36,7 +41,9 @@ from entroduction.backends import (
     load_fixture,
     logits_for_normalized_entropy,
 )
-from entroduction.backends import base
+import entroduction
+from entroduction import backends
+from entroduction.backends import base, openai_http
 from entroduction.backends.scripted import step_to_json
 from entroduction.backends.synthetic import _chunk_text, _solve
 from entroduction.metrics import TokenRecord, compute_step_metrics, step_softmax
@@ -210,6 +217,13 @@ class TestScriptedBackend:
         dump_fixture([step], path)
         loaded = load_fixture(path)[0]
         assert loaded.tokens[0].top_alternatives == (("x", -0.2), ("y", -1.7))
+
+    def test_unreadable_fixture_is_configuration_error(self, tmp_path):
+        path = tmp_path / "fixture.jsonl"
+        path.write_bytes(NOT_UTF8)
+        for missing_or_not_utf8 in (tmp_path / "missing.jsonl", path):
+            with pytest.raises(ConfigurationError, match="cannot read fixture"):
+                load_fixture(missing_or_not_utf8)
 
     def test_bad_fixture_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -529,3 +543,30 @@ class TestTemplates:
             base.load_template.cache_clear()
         assert rendered == [expected] * 3
         assert reads == ["entroduction.templates"]
+
+
+class TestLazyHttpImport:
+    def test_program_imports_without_the_http_stack(self):
+        # A fresh interpreter: this test process already holds requests.
+        program = (
+            "import sys, entroduction, entroduction.backends, entroduction.harness, "
+            "entroduction.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        )
+        src = str(Path(entroduction.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
+    def test_http_backend_resolves_on_access(self):
+        assert backends.OpenAIChatBackend is openai_http.OpenAIChatBackend
+        assert "OpenAIChatBackend" in backends.__all__
+        namespace: dict = {}
+        exec("from entroduction.backends import *", namespace)
+        assert namespace["OpenAIChatBackend"] is openai_http.OpenAIChatBackend
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="has no attribute 'NoSuchBackend'"):
+            backends.NoSuchBackend

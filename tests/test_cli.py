@@ -7,7 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from helpers import A60, UNIFORM4, make_step
+from helpers import A60, NOT_UTF8, UNIFORM4, make_step
 from mock_server import ChatCompletionsMock, completion_payload
 from entroduction import cli
 from entroduction.backends import dump_fixture
@@ -42,6 +42,14 @@ def calls(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(cli, name, spy)
     return seen
+
+
+def assert_exit(result, code, message):
+    """``code`` and ``message`` through the CLI's own error handling."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert message in result.output
+    assert "Traceback" not in result.output
 
 
 def assert_config_exit(result):
@@ -412,3 +420,48 @@ class TestTraceCommand:
     def test_missing_trace(self, tmp_path):
         result = CliRunner().invoke(main, ["trace", str(tmp_path / "none.jsonl")])
         assert result.exit_code == 3
+
+
+class TestUnreadableInputs:
+    """A missing or non-UTF-8 input file is a typed error, never a traceback."""
+
+    @pytest.fixture
+    def not_utf8(self, tmp_path):
+        path = tmp_path / "not_utf8.txt"
+        path.write_bytes(NOT_UTF8)
+        return str(path)
+
+    def test_dataset(self, not_utf8):
+        result = CliRunner().invoke(main, ["bench", "--dataset", not_utf8])
+        assert_exit(result, 3, "dataset error: cannot read dataset")
+
+    def test_config_file(self, not_utf8):
+        result = CliRunner().invoke(main, ["run", "q", "--config", not_utf8])
+        assert_exit(result, 1, "cannot read config file")
+
+    def test_trace(self, not_utf8):
+        result = CliRunner().invoke(main, ["trace", not_utf8])
+        assert_exit(result, 3, "dataset error: cannot read")
+
+    @pytest.mark.parametrize("command", [["run", "q"], ["bench", "--dataset", "unused.jsonl"]])
+    def test_fixture(self, not_utf8, tmp_path, command):
+        for fixture in (not_utf8, str(tmp_path / "missing.jsonl")):
+            result = CliRunner().invoke(
+                main, command + ["--backend", "scripted", "--fixture", fixture]
+            )
+            assert_exit(result, 1, f"configuration error: cannot read fixture {fixture}")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("[1, 2]", "bad trace line 2: expected a JSON object, got list"),
+            ('{"a": 1}', "bad trace line 2: missing fields chain_id, executed, entropy, j"),
+            ("{", "bad trace line 2: Expecting property name"),
+        ],
+    )
+    def test_bad_trace_line(self, tmp_path, bad, message):
+        trace = tmp_path / "trace.jsonl"
+        CliRunner().invoke(main, ["run", "q", "--max-steps", "1", "--out", str(trace)])
+        trace.write_text(trace.read_text(encoding="utf-8") + bad + "\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["trace", str(trace)])
+        assert_exit(result, 3, f"dataset error: {message}")

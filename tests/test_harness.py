@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import A60, EXPAND_SCHEDULE, UNIFORM4, make_step, synthetic_schedule
+from helpers import A60, EXPAND_SCHEDULE, NOT_UTF8, UNIFORM4, make_step, synthetic_schedule
 from entroduction.backends import ScriptedBackend, SyntheticBackend, SyntheticStep
 from entroduction.engine import RunConfig
 from entroduction.harness import (
@@ -141,6 +141,12 @@ class TestLoadDataset:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read"):
             load_dataset(tmp_path / "missing.jsonl", TaskKind.NUMERIC_MATH)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(DatasetError, match="cannot read dataset"):
+            load_dataset(path, TaskKind.NUMERIC_MATH)
 
     def test_zero_valid_rows(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -503,3 +509,30 @@ class TestTraceExport:
         result = self.run_simple()
         with pytest.raises(OSError):
             export_trace(result, tmp_path / "no_dir" / "trace.jsonl")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("[1, 2]", "bad trace line 3: expected a JSON object, got list"),
+            ('{"a": 1}', "bad trace line 3: missing fields chain_id, executed, entropy, j"),
+            ('{"chain_id": 0, "executed": "deepen", "j": 1}',
+             "bad trace line 3: missing fields entropy"),
+            ("not json", "bad trace line 3: Expecting value"),
+        ],
+    )
+    def test_bad_trace_line(self, bad, message):
+        sink = io.StringIO()
+        export_trace(self.run_simple(max_steps=1), sink)
+        sink.write("\n" + bad + "\n")
+        sink.seek(0)
+        with pytest.raises(DatasetError) as raised:
+            read_trace(sink)
+        assert str(raised.value).startswith(message)
+
+    def test_unreadable_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(DatasetError, match="cannot read"):
+            read_trace(path)
+        with pytest.raises(DatasetError, match="cannot read"):
+            read_trace(tmp_path / "missing.jsonl")

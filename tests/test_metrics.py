@@ -99,6 +99,13 @@ class TestStepEntropy:
         h = step_entropy(p)
         assert -1e-12 <= h <= math.log2(len(logits)) + 1e-9
 
+    @pytest.mark.parametrize(
+        "p", [[math.nan, 1.0], [math.nan], [math.inf, 0.0], [0.5, math.nan, 0.5]]
+    )
+    def test_non_finite_entry_is_not_a_distribution(self, p):
+        with pytest.raises(ValueError, match="not a distribution"):
+            step_entropy(p)
+
     def test_uniform_attains_maximum(self):
         for n in (2, 3, 7, 64):
             assert step_entropy([1.0 / n] * n) == pytest.approx(math.log2(n), rel=1e-12)
@@ -130,6 +137,21 @@ class TestTokenEntropies:
 
     def test_zero_probability_contributes_zero(self):
         np.testing.assert_array_equal(token_entropies([1.0, 0.0]), [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ([-0.5, 1.5], "not a distribution"),
+            ([math.nan, 1.0], "not a distribution"),
+            ([0.5, 0.6], "not a distribution"),
+            ([], "empty step"),
+            ([[0.5, 0.5]], "empty step"),
+        ],
+    )
+    def test_checked_like_step_entropy(self, p, message):
+        for function in (token_entropies, step_entropy):
+            with pytest.raises(ValueError, match=message):
+                function(p)
 
 
 class TestVarianceEntropy:
@@ -410,7 +432,7 @@ class TestUnmaskedKernel:
     @pytest.mark.parametrize("p", [[math.nan, 1.0], [-0.5, 1.5], [0.0, 1.0], []])
     def test_non_positive_entries_take_the_masked_path(self, p):
         arr = np.asarray(p, dtype=np.float64)
-        assert [v.hex() for v in token_entropies(arr).tolist()] == [
+        assert [v.hex() for v in metrics._entropy_and_contributions(arr)[1].tolist()] == [
             v.hex() for v in masked_entropy_and_contributions(arr)[1].tolist()
         ]
 
