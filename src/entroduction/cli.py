@@ -52,13 +52,14 @@ EXIT_DATASET = 3
 BASELINE_DEFAULTS = math_params(BaselineMethod.COT_SC)
 
 
-def read_config_file(path: str | None) -> dict[str, str]:
-    """Parse a plain key=value config file; '#' starts a comment line."""
+def read_config_file(path: str | None, names: set[str]) -> dict[str, str]:
+    """Parse a plain key=value config file; '#' starts a comment line. A key
+    outside ``names``, the options of the command being run, is an error."""
     if path is None:
         return {}
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     for line_number, line in enumerate(text.splitlines(), start=1):
@@ -68,7 +69,10 @@ def read_config_file(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{line_number}: expected key=value")
         key, value = line.split("=", 1)
-        values[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key not in names:
+            raise ConfigurationError(f"{path}:{line_number}: unknown key {key}")
+        values[key] = value.strip()
     return values
 
 
@@ -131,7 +135,8 @@ def build_run_config(settings: dict) -> RunConfig:
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Eager: the file's values become the defaults of options no flag sets."""
     try:
-        ctx.default_map = read_config_file(path)
+        names = {option.name for option in ctx.command.params if isinstance(option, click.Option)}
+        ctx.default_map = read_config_file(path, names)
     except ConfigurationError as exc:
         raise click.BadParameter(str(exc), ctx=ctx, param=param) from exc
 

@@ -19,14 +19,14 @@ detected answer are asked once more to state one so they can join the vote.
 The run conclusion is the majority vote over chain answers, ties broken by
 the most confident chain (lowest mean normalized step entropy).
 
-Backend calls go through a ``CallScheduler``, which sends up to the
-backend's ``max_in_flight`` calls at once (a backend that declares none is
-called one request at a time, on the calling thread). This loop keeps its
-rounds: the step calls of an iteration, and then the elicitation calls, go
-out together through ``generate_all``. Results are still committed chain by
-chain in ascending id order, node ids are allocated at commit time, and an
-expand's sibling call, which depends on that chain's decision, runs at the
-chain's turn, so the trace is the one a serial run produces.
+A run sends every backend call through one ``CallScheduler``, up to the
+backend's ``max_in_flight`` at once (a backend that declares none is called
+on the calling thread, one request at a time). A call's key is its place in
+a serial run: ``(j, k, 0)`` for the step of the k-th unfinished chain in
+iteration j, ``(j, k, 1)`` for that chain's expand sibling, and
+``(j + 1, k, 0)`` for the k-th elicitation after the last iteration j.
+Replies are committed in key order, with node ids allocated at commit time,
+so the trace is the one a serial run produces.
 
 ``request_for``, ``conclusion_request`` with ``elicited_answer``, and the
 scheduler are the one way to build a step request, to elicit a final answer
@@ -35,13 +35,12 @@ and to send calls, shared with the fixed-shape baselines.
 
 from __future__ import annotations
 
-import math
 import time
+from bisect import insort
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,7 +75,6 @@ __all__ = [
     "run_task",
     "request_for",
     "CallScheduler",
-    "generate_all",
     "conclusion_request",
     "elicited_answer",
     "majority_vote",
@@ -199,110 +197,89 @@ def request_for(config: RunConfig, task: str, prior: Sequence[str]) -> Generatio
 
 
 class CallScheduler:
-    """One run's backend calls, each sent as soon as it is submitted.
+    """A run's backend calls, each placed by a key its caller gives.
 
-    ``submit`` queues a request and returns its position in a serial run:
-    breadth first, then by parent, then by submission, where a request
-    submitted after a reply was taken is that reply's child. Iterating
-    yields ``(position, generation)`` per reply, on the caller's thread, as
-    replies arrive. Up to ``backend.max_in_flight`` calls run at once on
-    worker threads; a backend without it is called lazily on the caller's
-    thread in position order, as in a plain loop, and so is a call with
-    nothing in flight and only identical requests waiting. Identical
-    requests run one after another in submission order, so a backend that
-    answers by (request, occurrence) gives the same replies in any schedule.
-    The earliest failure by position is raised once every reply before it
-    has been yielded. ``close`` cancels calls not yet started and waits for
-    those in flight.
+    ``submit(request, key)`` queues a call at ``key``, its place in a serial
+    run: any value that is distinct from and compares with the run's other
+    keys. ``next`` (or iterating) returns ``(key, generation)`` per reply,
+    on the caller's thread, as replies arrive, and stops once no call is
+    left. Up to ``backend.max_in_flight`` calls run at once on worker
+    threads, started in key order; a backend without it is called lazily on
+    the caller's thread in key order, as in a plain loop, and so is a call
+    with nothing in flight and only identical requests waiting. Identical
+    requests run one after another, so a backend that answers by (request,
+    occurrence) gives the same replies in any schedule. The earliest failing
+    key is raised once every reply at an earlier key has been returned.
+    ``close`` cancels calls not yet started and waits for those in flight.
     """
 
     def __init__(self, backend: Backend):
         self._backend = backend
         self._width = getattr(backend, "max_in_flight", 1)
-        self._waiting: list[tuple[tuple, GenerationRequest]] = []
-        self._running: dict[Future, tuple[tuple, GenerationRequest]] = {}
-        self._ready: deque[tuple[tuple, StepGeneration]] = deque()
-        # Calls at or after the earliest failure's position are dropped.
-        self._limit, self._error = (math.inf,), None
+        self._waiting: list[tuple[Any, GenerationRequest]] = []  # in key order
+        self._running: dict[Future, tuple[Any, GenerationRequest]] = {}
+        self._ready: deque[tuple[Any, StepGeneration]] = deque()
+        # The earliest failure's (key, error): calls at or after it are dropped.
+        self._failed: tuple[Any, Exception] | None = None
         self._pool: ThreadPoolExecutor | None = None
-        self._parent, self._children = (), 0
 
-    def submit(self, request: GenerationRequest) -> tuple:
-        path = self._parent + (self._children,)
-        self._children += 1
-        position = (len(path), path)
-        if position < self._limit:
-            self._waiting.append((position, request))
-        return position
+    def _kept(self, key: Any) -> bool:
+        return self._failed is None or key < self._failed[0]
 
-    def __iter__(self) -> Iterator[tuple[tuple, StepGeneration]]:
-        while True:
-            while not self._ready:
-                if not self._waiting and all(
-                    position > self._limit for position, _ in self._running.values()
-                ):
-                    if self._error is not None:
-                        raise self._error
-                    return
-                self._send()
-            position, generation = self._ready.popleft()
-            self._parent, self._children = position[1], 0
-            yield position, generation
+    def submit(self, request: GenerationRequest, key: Any) -> None:
+        if self._kept(key):
+            insort(self._waiting, (key, request))
+
+    def __iter__(self) -> Iterator[tuple[Any, StepGeneration]]:
+        return self
+
+    def __next__(self) -> tuple[Any, StepGeneration]:
+        while not self._ready:
+            if not self._waiting and not any(
+                self._kept(key) for key, _ in self._running.values()
+            ):
+                if self._failed is not None:
+                    raise self._failed[1]
+                raise StopIteration
+            self._send()
+        return self._ready.popleft()
 
     def _send(self) -> None:
         """Make the first waiting call here if nothing could run beside it,
         else start calls not held behind an identical one and take replies."""
         if self._waiting and (self._width <= 1 or not self._running and all(
                 request == self._waiting[0][1] for _, request in self._waiting)):
-            position, request = self._waiting.pop(0)
-            self._finish(position, self._backend.generate_step, request)
+            key, request = self._waiting.pop(0)
+            self._finish(key, self._backend.generate_step, request)
             return
         held = {request for _, request in self._running.values()}
         waiting, self._waiting = self._waiting, []
-        for position, request in waiting:
+        for key, request in waiting:
             if request in held or len(self._running) >= self._width:
-                self._waiting.append((position, request))
+                self._waiting.append((key, request))
             else:
                 self._pool = self._pool or ThreadPoolExecutor(
                     self._width, thread_name_prefix="entroduction-generate")
                 future = self._pool.submit(self._backend.generate_step, request)
-                self._running[future] = (position, request)
+                self._running[future] = (key, request)
             held.add(request)
         done, _ = wait(self._running, return_when=FIRST_COMPLETED)
         for future in sorted(done, key=lambda f: self._running[f][0]):
             self._finish(self._running.pop(future)[0], future.result)
 
-    def _finish(self, position: tuple, outcome: Callable[..., StepGeneration], *args) -> None:
-        if position > self._limit:
+    def _finish(self, key: Any, outcome: Callable[..., StepGeneration], *args) -> None:
+        if not self._kept(key):
             return
         try:
-            self._ready.append((position, outcome(*args)))
+            self._ready.append((key, outcome(*args)))
         except Exception as exc:
-            self._limit, self._error = position, exc
-            self._waiting = [w for w in self._waiting if w[0] < position]
-            self._ready = deque(r for r in self._ready if r[0] < position)
+            self._failed = key, exc
+            self._waiting = [w for w in self._waiting if w[0] < key]
+            self._ready = deque(r for r in self._ready if r[0] < key)
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
-
-
-def generate_all(
-    backend: Backend, requests: Iterable[GenerationRequest]
-) -> Iterator[StepGeneration]:
-    """Each request's generation, yielded in request order, from one
-    ``CallScheduler``: a backend without ``max_in_flight`` is called lazily,
-    one call per item consumed, and the first failing request in order
-    raises once every earlier result has been yielded. Closing the generator
-    cancels calls not yet started and waits for those in flight; a caller
-    that may stop early closes it (``contextlib.closing``)."""
-    with closing(CallScheduler(backend)) as calls:
-        positions = [calls.submit(request) for request in requests]
-        replies, arrivals = {}, iter(calls)
-        for position in positions:
-            while position not in replies:
-                replies.update([next(arrivals)])
-            yield replies.pop(position)
 
 
 def conclusion_request(config: RunConfig, task: str, prior: Sequence[str]) -> GenerationRequest:
@@ -325,11 +302,18 @@ class _Runner:
         self.rngs: dict[int, np.random.Generator] = {}
         self.total_steps = 0
         self.conclusion_calls = 0
+        self.replies: dict[tuple, StepGeneration] = {}
 
     def rng_for(self, chain_id: int) -> np.random.Generator:
         if chain_id not in self.rngs:
             self.rngs[chain_id] = chain_rng(self.config.policy.seed, chain_id)
         return self.rngs[chain_id]
+
+    def reply(self, key: tuple) -> StepGeneration:
+        """The reply at ``key``, keeping replies that arrive before it."""
+        while key not in self.replies:
+            self.replies.update([next(self.calls)])
+        return self.replies.pop(key)
 
     def make_node(self, chain: Chain, generation: StepGeneration) -> ReasoningNode:
         if not generation.tokens:
@@ -378,15 +362,10 @@ class _Runner:
         )
 
     def advance_chain(
-        self,
-        chain: Chain,
-        step_index: int,
-        request: GenerationRequest,
-        generation: StepGeneration,
+        self, chain: Chain, step_index: int, k: int, request: GenerationRequest
     ) -> None:
-        """Commit ``generation``, the reply to ``request``, as the chain's step
-        in iteration ``step_index``."""
-        node = self.make_node(chain, generation)
+        """Commit the reply to ``request``, at key ``(step_index, k, 0)``, as the chain's step."""
+        node = self.make_node(chain, self.reply((step_index, k, 0)))
 
         # Soft-stop grace steps, and the first two steps (no delta pair
         # exists yet), are unconditional deepens.
@@ -412,7 +391,8 @@ class _Runner:
 
         remaining = reason = None
         if action is Action.EXPAND:
-            sibling_node = self.make_node(chain, self.backend.generate_step(request))
+            self.calls.submit(request, (step_index, k, 1))
+            sibling_node = self.make_node(chain, self.reply((step_index, k, 1)))
             sibling_id = self.structure.expand(chain, node, sibling_node)
             assert sibling_id is not None  # budget was checked above
         else:
@@ -435,34 +415,36 @@ class _Runner:
             )
 
     def advance_round(self, step_index: int) -> None:
-        """Advance every unfinished chain by one step, calls made together."""
+        """Advance every unfinished chain by one step, all calls submitted first."""
         chains = self.structure.unfinished_chains()
         requests = [
             request_for(self.config, self.structure.task, chain.node_texts())
             for chain in chains
         ]
-        with closing(generate_all(self.backend, requests)) as generations:
-            for chain, request, generation in zip(chains, requests, generations):
-                self.advance_chain(chain, step_index, request, generation)
+        for k, request in enumerate(requests):
+            self.calls.submit(request, (step_index, k, 0))
+        for k, (chain, request) in enumerate(zip(chains, requests)):
+            self.advance_chain(chain, step_index, k, request)
 
-    def elicit_conclusions(self) -> None:
+    def elicit_conclusions(self, step_index: int) -> None:
+        """Ask every chain without an answer for one, as iteration ``step_index``."""
         pending = [
             chain for chain in self.structure.chains
             if not chain.final_answer and chain.nodes
         ]
-        requests = [
-            conclusion_request(self.config, self.structure.task, chain.node_texts())
-            for chain in pending
-        ]
-        with closing(generate_all(self.backend, requests)) as generations:
-            for chain, generation in zip(pending, generations):
-                self.conclusion_calls += 1
-                chain.final_answer = elicited_answer(self.config, generation) or None
+        for k, chain in enumerate(pending):
+            request = conclusion_request(self.config, self.structure.task, chain.node_texts())
+            self.calls.submit(request, (step_index, k, 0))
+        for k, chain in enumerate(pending):
+            generation = self.reply((step_index, k, 0))
+            self.conclusion_calls += 1
+            chain.final_answer = elicited_answer(self.config, generation) or None
 
     def run(self) -> RunResult:
         started = time.perf_counter()
         aborted = False
         error: str | None = None
+        self.calls = CallScheduler(self.backend)
         try:
             step_index = 0
             while step_index < self.config.max_steps and self.structure.unfinished_chains():
@@ -471,12 +453,14 @@ class _Runner:
             for chain in self.structure.unfinished_chains():
                 chain.finalize()
             if self.config.elicit_final_answer:
-                self.elicit_conclusions()
+                self.elicit_conclusions(step_index + 1)
         except BackendError as exc:
             aborted = True
             error = str(exc)
             for chain in self.structure.unfinished_chains():
                 chain.finalize()
+        finally:
+            self.calls.close()
 
         answered = [
             (chain.final_answer, chain.mean_normalized_entropy())
@@ -505,7 +489,7 @@ def run_task(task: str, config: RunConfig, backend: Backend) -> RunResult:
     Deterministic given (task, config, backend behavior): chain random
     streams are keyed by (seed, chain id) and chains are committed in
     ascending id order, with chains created mid-iteration first acting in
-    the next iteration. Calls made together (see ``generate_all``) change
+    the next iteration. Calls made together (see ``CallScheduler``) change
     timing, not results. A fatal backend error aborts the run and returns the
     partial trace with ``aborted`` set; no worker thread outlives the call.
     A blank task raises ValueError before any backend call.

@@ -125,26 +125,32 @@ def _run_trees(
     task: str, roots: int, branching: int, layers: int, backend: Backend, config: RunConfig
 ) -> BaselineOutcome:
     """One answer per leaf, in breadth-first order: the last answer stated
-    on the leaf's path, else one elicitation call's. A serial backend is
-    called layer by layer."""
-    asked: dict[tuple, tuple] = {}  # elicitation position -> leaf position
-    answers: dict[tuple, str] = {}  # leaf position -> answer
+    on the leaf's path, else one elicitation call's. A call's key is its
+    breadth-first place, (depth, path of child indices), so a serial backend
+    is called layer by layer; a leaf's elicitation sits where its first child
+    would."""
+    asked: dict[tuple, tuple] = {}  # elicitation key -> leaf key
+    answers: dict[tuple, str] = {}  # leaf key -> answer
+    priors = {(1, (k,)): () for k in range(roots)}  # step key -> prior steps
     steps_generated = 0
     with closing(CallScheduler(backend)) as calls:
-        priors = {calls.submit(request_for(config, task, ())): () for _ in range(roots)}
-        for position, generation in calls:
-            if position in asked:
-                answers[asked[position]] = elicited_answer(config, generation)
+        for key in priors:
+            calls.submit(request_for(config, task, ()), key)
+        for key, generation in calls:
+            if key in asked:
+                answers[asked[key]] = elicited_answer(config, generation)
                 continue
-            path = priors.pop(position) + (generation.text,)
+            (depth, branch), path = key, priors.pop(key) + (generation.text,)
             steps_generated += 1
             if len(path) < layers:
-                for _ in range(branching):
-                    priors[calls.submit(request_for(config, task, path))] = path
+                for j in range(branching):
+                    calls.submit(request_for(config, task, path), (depth + 1, branch + (j,)))
+                    priors[depth + 1, branch + (j,)] = path
                 continue
             stated = (detect_answer_marker(text, config.answer_marker) for text in reversed(path))
             if (answer := next((a for a in stated if a is not None), None)) is None:
-                asked[calls.submit(conclusion_request(config, task, path))] = position
+                calls.submit(conclusion_request(config, task, path), (depth + 1, branch + (0,)))
+                asked[depth + 1, branch + (0,)] = key
             else:
-                answers[position] = answer
-    return BaselineOutcome([answers[p] for p in sorted(answers)], steps_generated, len(asked))
+                answers[key] = answer
+    return BaselineOutcome([answers[k] for k in sorted(answers)], steps_generated, len(asked))

@@ -87,7 +87,7 @@ def load_dataset(
     """Load a JSONL dataset; malformed lines are skipped with a warning, or
     rejected outright in strict mode. Zero valid rows is always an error."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc

@@ -65,14 +65,14 @@ def export_trace(result: RunResult, sink: str | Path | IO[str], task_id: str = "
             handle.close()
 
 
-# The fields summarize_trace reads from every row.
-SUMMARY_FIELDS = ("chain_id", "executed", "entropy", "j")
+# The fields summarize_trace reads from every row, with the type each must have.
+SUMMARY_FIELDS = {"chain_id": int, "executed": str, "entropy": (int, float), "j": int}
 
 
 def read_trace(source: str | Path | IO[str]) -> list[dict]:
     """The rows of a JSONL trace. A file that cannot be read or decoded, or a
-    line that is not a JSON object holding every ``SUMMARY_FIELDS`` key,
-    raises ``DatasetError``."""
+    line that is not a JSON object holding every ``SUMMARY_FIELDS`` key with
+    a value of its type, raises ``DatasetError``."""
     try:
         if isinstance(source, (str, Path)):
             text = Path(source).read_text(encoding="utf-8")
@@ -91,6 +91,9 @@ def read_trace(source: str | Path | IO[str]) -> list[dict]:
                 raise ValueError(f"expected a JSON object, got {type(row).__name__}")
             if missing := [key for key in SUMMARY_FIELDS if key not in row]:
                 raise ValueError(f"missing fields {', '.join(missing)}")
+            if wrong := [key for key, kind in SUMMARY_FIELDS.items()
+                         if isinstance(row[key], bool) or not isinstance(row[key], kind)]:
+                raise ValueError(f"fields of the wrong type: {', '.join(wrong)}")
         except ValueError as exc:
             raise DatasetError(f"bad trace line {line_number}: {exc}") from exc
         rows.append(row)

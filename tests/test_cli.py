@@ -154,6 +154,15 @@ class TestBenchCommand:
         assert isinstance(result.exception, SystemExit), result.exception
         assert "backend failure: bad fixture line 1" in result.output
 
+    def test_bench_dataset_with_byte_order_mark(self, tmp_path):
+        dataset = tmp_path / "tasks.jsonl"
+        dataset.write_text(
+            '\ufeff{"id": "1", "question": "what is 2+2?", "answer": "4"}\n', encoding="utf-8"
+        )
+        result = CliRunner().invoke(main, ["bench", "--dataset", str(dataset), "--max-steps", "3"])
+        assert result.exit_code == 0, result.output
+        assert "accuracy:" in result.output
+
     def test_bench_missing_dataset_flag(self):
         result = CliRunner().invoke(main, ["bench"])
         assert result.exit_code == 1
@@ -275,6 +284,30 @@ class TestConfigFile:
         )
         assert result.exit_code == 0, result.output
         assert len(out.read_text().strip().splitlines()) == 4
+
+    @pytest.mark.parametrize("command, key", [
+        (["run", "q"], "max_stpes"),
+        # An option of another command is unknown to this one.
+        (["run", "q"], "dataset"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, calls, command, key):
+        config = tmp_path / "run.conf"
+        config.write_text(f"seed=5\n{key}=2\n", encoding="utf-8")
+        result = CliRunner().invoke(main, command + ["--config", str(config)])
+        assert_config_exit(result)
+        assert f"{config}:2: unknown key {key}" in result.output
+        assert "run_task" not in calls
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("\ufeffmax_steps=2\n", encoding="utf-8")
+        out = tmp_path / "trace.jsonl"
+        result = CliRunner().invoke(
+            main, ["run", "q", "--config", str(config), "--metric-mode", "none",
+                   "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().strip().splitlines()) == 2
 
     def test_bad_config_line(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -457,6 +490,13 @@ class TestUnreadableInputs:
             ("[1, 2]", "bad trace line 2: expected a JSON object, got list"),
             ('{"a": 1}', "bad trace line 2: missing fields chain_id, executed, entropy, j"),
             ("{", "bad trace line 2: Expecting property name"),
+            ('{"chain_id": 0, "executed": "deepen", "entropy": "x", "j": 1}',
+             "bad trace line 2: fields of the wrong type: entropy"),
+            # Types that differ from the first line's.
+            ('{"chain_id": "0", "executed": "deepen", "entropy": 1.5, "j": 1.0}',
+             "bad trace line 2: fields of the wrong type: chain_id, j"),
+            ('{"chain_id": 0, "executed": null, "entropy": true, "j": 1}',
+             "bad trace line 2: fields of the wrong type: executed, entropy"),
         ],
     )
     def test_bad_trace_line(self, tmp_path, bad, message):

@@ -28,7 +28,7 @@ from entroduction.backends import (
     SyntheticBackend,
     SyntheticStep,
 )
-from entroduction.engine import RunConfig, generate_all, run_task
+from entroduction.engine import CallScheduler, RunConfig, run_task
 from entroduction.harness import BaselineParams, run_chain_baseline, run_tree_baseline
 from entroduction.policy import PolicyConfig
 
@@ -323,12 +323,24 @@ class TestGenerateAll:
     def requests(self, tasks):
         return [GenerationRequest(system_prompt="s", task=task) for task in tasks]
 
+    def scheduler(self, backend, tasks):
+        """A ``CallScheduler`` with one call per task, keyed by its index."""
+        calls = CallScheduler(backend)
+        for key, request in enumerate(self.requests(tasks)):
+            calls.submit(request, key)
+        return calls
+
+    def generate(self, backend, tasks):
+        """Every reply, in task order."""
+        with closing(self.scheduler(backend, tasks)) as calls:
+            return [generation for _, generation in sorted(calls, key=lambda r: r[0])]
+
     def test_identical_requests_keep_submission_order(self):
         tasks = ["a", "b", "a", "c", "a", "b", "d", "a"]
-        expected = list(generate_all(KeyedBackend(1), self.requests(tasks)))
+        expected = self.generate(KeyedBackend(1), tasks)
         for seed in range(10):
             backend = KeyedBackend(4, jitter_s=0.003, seed=seed)
-            assert list(generate_all(backend, self.requests(tasks))) == expected
+            assert self.generate(backend, tasks) == expected
             assert backend.peak >= 2
         assert worker_threads() == []
 
@@ -338,7 +350,7 @@ class TestGenerateAll:
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
         backend = KeyedBackend(1)
-        generations = generate_all(backend, self.requests(["a", "b", "c"]))
+        generations = self.scheduler(backend, ["a", "b", "c"])
         assert backend.calls == []
         next(generations)
         assert len(backend.calls) == 1
@@ -358,8 +370,9 @@ class TestGenerateAll:
 
         backend.generate_step = generate_step
         tasks = [f"t{i}" for i in range(8)]
-        with closing(generate_all(backend, self.requests(tasks))) as generations:
-            next(generations)
+        calls = self.scheduler(backend, tasks)
+        next(calls)
+        calls.close()
         assert worker_threads() == []
         assert len(backend.calls) < len(tasks)
 

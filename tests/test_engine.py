@@ -19,8 +19,11 @@ from helpers import (
     make_step,
     synthetic_schedule,
 )
+from test_concurrency import KeyedBackend, adaptive_config, worker_threads
+from entroduction import engine
 from entroduction.backends import GenerationRequest, ScriptedBackend, SyntheticBackend
 from entroduction.engine import (
+    CallScheduler,
     ExecutedBehavior,
     RunConfig,
     RunResult,
@@ -348,3 +351,28 @@ class TestMajorityVote:
         )
         assert answers == {0: "3", 1: "8"}
         assert result.conclusion == "3"
+
+
+class TestCallScheduler:
+    def test_serial_backend_is_called_in_key_order(self):
+        backend = KeyedBackend(1, jitter_s=0.0)
+        calls = CallScheduler(backend)
+        for key, task in [((2, 0), "c"), ((0, 1), "b"), ((0, 0), "a")]:
+            calls.submit(GenerationRequest(system_prompt="s", task=task), key)
+        assert [key for key, _ in calls] == [(0, 0), (0, 1), (2, 0)]
+        assert [request.task for request, _ in backend.calls] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("seed", [2, 3, 6])
+    def test_one_thread_pool_per_run(self, monkeypatch, seed):
+        pools = []
+
+        def counted_pool(*args, _pool=engine.ThreadPoolExecutor, **kwargs):
+            pools.append(args)
+            return _pool(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", counted_pool)
+        result = run_task("q", adaptive_config(seed), KeyedBackend(4))
+        # Several rounds had more than one chain, yet all shared one pool.
+        assert len(result.structure.chains) >= 4 and not result.aborted
+        assert len(pools) == 1
+        assert worker_threads() == []
