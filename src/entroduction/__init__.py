@@ -14,7 +14,6 @@ from .metrics import (
     normalized_variance_entropy,
     step_entropy,
     step_softmax,
-    token_entropies,
     variance_entropy,
 )
 from .policy import (
@@ -47,7 +46,6 @@ __all__ = [
     "step_softmax",
     "step_entropy",
     "normalized_step_entropy",
-    "token_entropies",
     "variance_entropy",
     "normalized_variance_entropy",
     "compute_step_metrics",

@@ -68,7 +68,7 @@ def step_to_json(step: StepGeneration) -> dict:
 
 def load_fixture(path: str | Path) -> list[StepGeneration]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read fixture {path}: {exc}") from exc

@@ -17,9 +17,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from ..metrics import TokenRecord, _softmax_terms
+from ..metrics import TokenRecord, _entropy_terms
 from .base import (
     DEFAULT_ANSWER_MARKER,
     FinishReason,
@@ -56,16 +54,24 @@ def _check_target(target: float, n_tokens: int) -> None:
         raise ValueError("target normalized entropy must be in (0, 1]")
 
 
+def _family_entropy(a: float, n_tokens: int) -> float:
+    """Entropy of the softmax of [a, 0, ..., 0] for ``a >= 0``, from its two
+    distinct entries and their multiplicities. Exactly rounded sums do not
+    depend on order, so these are the bits of ``metrics._softmax_terms``."""
+    rest = math.exp(-a)
+    total = math.fsum([1.0] + [rest] * (n_tokens - 1))
+    _, (first_term, rest_term) = _entropy_terms((1.0 / total, rest / total))
+    return 0.0 - math.fsum([first_term] + [rest_term] * (n_tokens - 1))
+
+
 @functools.cache
 def _solve(target: float, n_tokens: int, tolerance: float) -> float:
     """The ``a`` of [a, 0, ..., 0] that realizes ``target``, by bisection.
     ``a`` stays in [0, 1e6], so the logits are finite and go unchecked."""
     max_entropy = math.log2(n_tokens)
-    logits = np.zeros(n_tokens)
 
     def normalized(a: float) -> float:
-        logits[0] = a
-        return _softmax_terms(logits)[0] / max_entropy
+        return _family_entropy(a, n_tokens) / max_entropy
 
     lo, hi = 0.0, 1.0
     while normalized(hi) > target:
@@ -116,17 +122,19 @@ def _chunk_text(text: str, n: int) -> list[str]:
     ]
 
 
-def _logprobs(raw: np.ndarray) -> np.ndarray:
+def _logprobs(raw: Sequence[float]) -> list[float]:
     """Logits shifted to proper logprobs (<= 0); metrics are shift-invariant."""
-    shifted = raw - raw.max()
-    return shifted - math.log(float(np.exp(shifted).sum()))
+    peak = max(raw)
+    shifted = [x - peak for x in raw]
+    log_total = math.log(math.fsum(map(math.exp, shifted)))
+    return [x - log_total for x in shifted]
 
 
 @functools.cache
 def _target_logprobs(a: float, n_tokens: int) -> tuple[float, float]:
     """(first, rest) logprobs of the logits [a, 0, ..., 0], clamped to <= 0. Memoized
     for each process: one entry per solved target (``a = 0`` for target 1.0)."""
-    first, rest = _logprobs(np.array((a,) + (0.0,) * (n_tokens - 1)))[:2].tolist()
+    first, rest = _logprobs([a] + [0.0] * (n_tokens - 1))[:2]
     return min(0.0, first), min(0.0, rest)
 
 
@@ -163,7 +171,7 @@ class SyntheticBackend:
         entry = self._schedule[index]
         text = entry.text or f"synthetic step {index + 1} of the reasoning schedule."
         if entry.logprobs is not None:
-            logprobs = _logprobs(np.asarray(entry.logprobs, dtype=np.float64)).tolist()
+            logprobs = _logprobs(entry.logprobs)
             pieces = _chunk_text(text, len(logprobs))
             # Equal (piece, logprob) pairs share one record.
             keys = list(zip(pieces, logprobs))

@@ -42,8 +42,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-import numpy as np
-
 from .backends.base import (
     Backend,
     BackendError,
@@ -57,6 +55,7 @@ from .backends.base import (
 from .metrics import StepMetrics, compute_step_metrics
 from .policy import (
     Action,
+    ChainRng,
     Decision,
     PolicyConfig,
     PolicyState,
@@ -299,12 +298,12 @@ class _Runner:
         self.backend = backend
         self.structure = create_structure(task, config.max_chains)
         self.trace: list[TraceEvent] = []
-        self.rngs: dict[int, np.random.Generator] = {}
+        self.rngs: dict[int, ChainRng] = {}
         self.total_steps = 0
         self.conclusion_calls = 0
         self.replies: dict[tuple, StepGeneration] = {}
 
-    def rng_for(self, chain_id: int) -> np.random.Generator:
+    def rng_for(self, chain_id: int) -> ChainRng:
         if chain_id not in self.rngs:
             self.rngs[chain_id] = chain_rng(self.config.policy.seed, chain_id)
         return self.rngs[chain_id]

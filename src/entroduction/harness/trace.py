@@ -75,7 +75,7 @@ def read_trace(source: str | Path | IO[str]) -> list[dict]:
     a value of its type, raises ``DatasetError``."""
     try:
         if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
+            text = Path(source).read_text(encoding="utf-8-sig")
         else:
             text = source.read()
     except (OSError, UnicodeDecodeError) as exc:

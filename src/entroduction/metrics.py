@@ -13,17 +13,19 @@ distribution p over the step's positions, from which we compute:
 * normalized variance entropy: variance entropy divided by log2(n).
 
 ``compute_step_metrics`` derives all of them from one softmax and one pass
-over the -p*log2(p) terms. All logarithms are base 2. All functions here are
-pure and thread-safe.
+over the -p*log2(p) terms. All logarithms are base 2. A step holds at most a
+few hundred tokens, so the kernels are plain Python over lists of floats.
+Every sum is exactly rounded (``math.fsum``, Shewchuk's algorithm), so a
+result does not depend on the order of the tokens, and a probability whose
+``exp`` underflows to 0 contributes a 0 term. All functions here are pure and
+thread-safe.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from math import exp, fsum, inf, isfinite, log2
+from typing import Iterable
 
 __all__ = [
     "TokenRecord",
@@ -31,7 +33,6 @@ __all__ = [
     "step_softmax",
     "step_entropy",
     "normalized_step_entropy",
-    "token_entropies",
     "variance_entropy",
     "normalized_variance_entropy",
     "compute_step_metrics",
@@ -52,7 +53,7 @@ class TokenRecord:
     top_alternatives: tuple[tuple[str, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.chosen_logprob):
+        if not isfinite(self.chosen_logprob):
             raise ValueError("non-finite logit")
         if self.chosen_logprob > 0.0:
             raise ValueError(f"chosen_logprob must be <= 0, got {self.chosen_logprob}")
@@ -61,7 +62,7 @@ class TokenRecord:
         alts = tuple((str(t), float(lp)) for t, lp in self.top_alternatives)
         object.__setattr__(self, "top_alternatives", alts)
         # One pass: a positive logprob raises at once, disorder after the scan.
-        unsorted, previous = False, math.inf
+        unsorted, previous = False, inf
         for _, lp in alts:
             if lp > 0.0:
                 raise ValueError(f"alternative logprob must be <= 0, got {lp}")
@@ -83,66 +84,66 @@ class StepMetrics:
     normalized_variance_entropy: float
 
 
-def _entropy_and_contributions(p: np.ndarray) -> tuple[float, np.ndarray]:
-    """Entropy of ``p`` and its per-token terms -p*log2(p), 0 where p = 0.
-
-    The entropy sums the positive entries' p*log2(p) alone, so numpy's
-    pairwise grouping does not depend on how many probabilities underflowed
-    to 0, and subtracts the total from 0, so a zero entropy is +0.0 where a
-    negation would give -0.0. With every entry positive, the usual case, the
-    same terms come from ``p`` unmasked; a zero, negative or NaN entry masks.
-    """
-    if p.size and p.min() > 0.0:
-        plogp = p * np.log2(p)
-        return float(0.0 - plogp.sum()), -plogp
-    positive = p > 0.0
-    q = p[positive]
-    plogp = q * np.log2(q)
-    series = np.zeros_like(p)
-    series[positive] = -plogp
-    return float(0.0 - plogp.sum()), series
+def _softmax(logits: list[float]) -> list[float]:
+    """Softmax of finite ``logits`` with max-subtraction and an exactly rounded
+    normalizer, unchecked."""
+    peak = max(logits)
+    weights = [exp(x - peak) for x in logits]
+    total = fsum(weights)
+    return [w / total for w in weights]
 
 
-def _softmax_terms(logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """``_entropy_and_contributions`` of the softmax of finite 1-D ``logits``,
-    as ``step_softmax`` computes it but without its checks."""
-    weights = np.exp(logits - logits.max())
-    return _entropy_and_contributions(weights / weights.sum())
+def _entropy_terms(p: Iterable[float]) -> tuple[float, list[float]]:
+    """Entropy of ``p`` and its terms p*log2(p), 0 where p = 0 (a probability
+    that underflowed). The entropy is 0 minus the exactly rounded sum of the
+    terms, so it does not depend on their order and a zero entropy is +0.0."""
+    terms = [x * log2(x) if x > 0.0 else 0.0 for x in p]
+    return 0.0 - fsum(terms), terms
 
 
-def step_softmax(logits: Sequence[float] | np.ndarray) -> np.ndarray:
+def _softmax_terms(logits: list[float]) -> tuple[float, list[float]]:
+    """``_entropy_terms`` of the softmax of finite ``logits``, as
+    ``step_softmax`` computes it but without its checks."""
+    return _entropy_terms(_softmax(logits))
+
+
+def _spread(values: Iterable[float], shift: float, n: int) -> float:
+    """Exactly rounded sum of (v + shift)**2 over ``values``, divided by ``n``."""
+    return fsum([(d := v + shift) * d for v in values]) / n
+
+
+def step_softmax(logits: Iterable[float]) -> list[float]:
     """Softmax over a step's logit vector, computed with max-subtraction.
 
     Invariant under adding a constant to every logit; entries are positive
     and sum to 1 within 1e-12.
     """
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+    values = [float(x) for x in logits]
+    if not values:
         raise ValueError("empty step")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(isfinite, values)):
         raise ValueError("non-finite logit")
-    shifted = arr - arr.max()
-    weights = np.exp(shifted)
-    return weights / weights.sum()
+    return _softmax(values)
 
 
-def _distribution(p: Sequence[float] | np.ndarray) -> np.ndarray:
-    """``p`` as a non-empty 1-D float64 array of finite, non-negative entries
-    summing to 1 within 1e-9; NaN fails ``>= 0`` and an infinity the sum."""
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+def _distribution(p: Iterable[float]) -> list[float]:
+    """``p`` as a non-empty list of non-negative floats summing to 1 within
+    1e-9. NaN fails the range check; so does an entry above 1 + 1e-9, which
+    would fail the sum anyway, and bounding it keeps ``fsum`` from overflowing."""
+    values = [float(x) for x in p]
+    if not values:
         raise ValueError("empty step")
-    if not np.all(arr >= 0.0) or abs(float(arr.sum()) - 1.0) > 1e-9:
+    if not all(0.0 <= x <= 1.0 + 1e-9 for x in values) or abs(fsum(values) - 1.0) > 1e-9:
         raise ValueError("not a distribution")
-    return arr
+    return values
 
 
-def step_entropy(p: Sequence[float] | np.ndarray) -> float:
+def step_entropy(p: Iterable[float]) -> float:
     """Shannon entropy, in bits, of a probability vector.
 
     Uses the convention 0*log2(0) = 0. The input must sum to 1 within 1e-9.
     """
-    return _entropy_and_contributions(_distribution(p))[0]
+    return _entropy_terms(_distribution(p))[0]
 
 
 def normalized_step_entropy(entropy_bits: float, n: int) -> float:
@@ -155,26 +156,18 @@ def normalized_step_entropy(entropy_bits: float, n: int) -> float:
         raise ValueError("invalid length")
     if n == 1:
         return 0.0
-    return entropy_bits / math.log2(n)
+    return entropy_bits / log2(n)
 
 
-def token_entropies(p: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Per-token contributions -p*log2(p) of a probability vector.
-
-    The series sums to the step entropy, tying the mean token entropy to
-    entropy/n. The input is checked as ``step_entropy`` checks it.
-    """
-    return _entropy_and_contributions(_distribution(p))[1]
-
-
-def variance_entropy(token_entropy_values: Sequence[float] | np.ndarray) -> float:
+def variance_entropy(token_entropy_values: Iterable[float]) -> float:
     """Population variance (divide by n) of a per-token entropy series."""
-    arr = np.asarray(token_entropy_values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+    values = [float(x) for x in token_entropy_values]
+    if not values:
         raise ValueError("empty step")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(isfinite, values)):
         raise ValueError("non-finite token entropy")
-    return float(np.var(arr))
+    n = len(values)
+    return _spread(values, -fsum(values) / n, n)
 
 
 def normalized_variance_entropy(var: float, n: int) -> float:
@@ -185,7 +178,7 @@ def normalized_variance_entropy(var: float, n: int) -> float:
         raise ValueError("negative variance")
     if n == 1:
         return 0.0
-    return var / math.log2(n)
+    return var / log2(n)
 
 
 def compute_step_metrics(records: Iterable[TokenRecord]) -> StepMetrics:
@@ -196,19 +189,20 @@ def compute_step_metrics(records: Iterable[TokenRecord]) -> StepMetrics:
     absorbs any per-step constant shift. ``TokenRecord`` guarantees finite
     logprobs, so nothing built here is checked again.
     """
-    logits = np.array([r.chosen_logprob for r in records], dtype=np.float64)
-    n = logits.size
+    logits = [r.chosen_logprob for r in records]
+    n = len(logits)
     if n == 0:
         raise ValueError("empty step")
-    entropy, series = _softmax_terms(logits)
-    mean = series.sum() / n
-    # The population variance, computed term for term as np.var does.
-    var = float(((series - mean) ** 2).sum() / n)
+    entropy, terms = _softmax_terms(logits)
+    # The series -p*log2(p) sums to the entropy, so its mean is entropy/n and
+    # each deviation from the mean is -(term + mean).
+    mean = entropy / n
+    var = _spread(terms, mean, n)
     return StepMetrics(
         n=n,
         entropy_bits=entropy,
         normalized_entropy=normalized_step_entropy(entropy, n),
-        mean_token_entropy=float(mean),
+        mean_token_entropy=mean,
         variance_entropy=var,
         normalized_variance_entropy=normalized_variance_entropy(var, n),
     )

@@ -21,8 +21,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .structure import Chain, ChainStatus
 
 __all__ = [
@@ -38,6 +36,7 @@ __all__ = [
     "decide",
     "sample_action",
     "apply_stop",
+    "ChainRng",
     "chain_rng",
 ]
 
@@ -133,8 +132,8 @@ def apply_metric_mode(state: PolicyState, mode: MetricMode) -> PolicyState:
     return PolicyState(0.0, 0.0)
 
 
-def _draw(distribution: dict[Action, float], rng: np.random.Generator) -> Action:
-    u = float(rng.random())
+def _draw(distribution: dict[Action, float], rng: ChainRng) -> Action:
+    u = rng.random()
     cumulative = 0.0
     for action in ACTION_ORDER:
         cumulative += distribution[action]
@@ -143,7 +142,7 @@ def _draw(distribution: dict[Action, float], rng: np.random.Generator) -> Action
     return ACTION_ORDER[-1]
 
 
-def decide(state: PolicyState, config: PolicyConfig, rng: np.random.Generator) -> Decision:
+def decide(state: PolicyState, config: PolicyConfig, rng: ChainRng) -> Decision:
     """Classify, sample, and remap in one round.
 
     MetricMode.NONE bypasses sampling entirely (always deepen, no rng draw).
@@ -161,7 +160,7 @@ def decide(state: PolicyState, config: PolicyConfig, rng: np.random.Generator) -
 
 
 def sample_action(
-    state: PolicyState, config: PolicyConfig, rng: np.random.Generator
+    state: PolicyState, config: PolicyConfig, rng: ChainRng
 ) -> Action:
     """The action to execute for ``state`` (post ablation remaps)."""
     return decide(state, config, rng).action
@@ -183,11 +182,67 @@ def apply_stop(chain: Chain, config: PolicyConfig) -> StopDirective:
     return StopDirective.CONTINUE
 
 
-def chain_rng(seed: int, chain_id: int) -> np.random.Generator:
+M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pair of each of a SeedSequence hash's first ``count``
+    uses: the running constant, then the constant after its update."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & M32)
+    return list(zip(consts, consts[1:]))
+
+
+def _hash(value: int, xor: int, mult: int) -> int:
+    value = (value ^ xor) * mult & M32
+    return value ^ value >> 16
+
+
+# SeedSequence's hash constants do not depend on the data, so they are
+# precomputed: four pool fills and twelve cross mixes (INIT_A, MULT_A), then
+# eight output words drawn from pool word i % 4 (INIT_B, MULT_B).
+_FILL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_MIX = [(s, d) for s in range(4) for d in range(4) if s != d]
+_OUTPUT = [(i % 4, *c) for i, c in enumerate(_hash_constants(0x8B51F9DD, 0x58F38DED, 8))]
+
+
+class ChainRng:
+    """numpy's ``default_rng(SeedSequence([seed & M64, chain_id & M64]))``
+    without numpy: SeedSequence's entropy pool (4 words) seeds a PCG64
+    (XSL-RR, O'Neill 2014) stream, and ``random`` returns the next double in
+    [0, 1) exactly as ``Generator.random()`` does, bit for bit."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int, chain_id: int):
+        entropy = []
+        for value in (seed & M64, chain_id & M64):
+            entropy += (value & M32, value >> 32) if value >> 32 else (value,)
+        pool = [_hash(v, *c) for v, c in zip(entropy + [0] * (4 - len(entropy)), _FILL)]
+        for (src, dst), consts in zip(_MIX, _FILL[4:]):
+            value = (0xCA01F9DD * pool[dst] - 0x4973F715 * _hash(pool[src], *consts)) & M32
+            pool[dst] = value ^ value >> 16
+        words = [_hash(pool[i], xor, mult) for i, xor, mult in _OUTPUT]
+        # generate_state(4, uint64) is (s_hi, s_lo, i_hi, i_lo), each the
+        # little-endian pair of two words; PCG64 seeds on them with one step.
+        initial = words[0] << 64 | words[1] << 96 | words[2] | words[3] << 32
+        self._inc = (words[4] << 65 | words[5] << 97 | words[6] << 1 | words[7] << 33 | 1) & M128
+        self._state = ((self._inc + initial) * PCG64_MULTIPLIER + self._inc) & M128
+
+    def random(self) -> float:
+        """The next uniform double in [0, 1): one LCG step, XSL-RR, 53 bits."""
+        state = self._state = (self._state * PCG64_MULTIPLIER + self._inc) & M128
+        folded = (state >> 64 ^ state) & M64
+        rot = state >> 122
+        return (((folded >> rot | folded << (64 - rot)) & M64) >> 11) * 2.0**-53
+
+
+def chain_rng(seed: int, chain_id: int) -> ChainRng:
     """Independent random stream for one chain of one run.
 
     Streams are keyed by (run seed, chain id), so per-chain draw sequences do
     not depend on scheduling order.
     """
-    material = [seed & 0xFFFFFFFFFFFFFFFF, chain_id & 0xFFFFFFFFFFFFFFFF]
-    return np.random.default_rng(np.random.SeedSequence(material))
+    return ChainRng(seed, chain_id)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from entroduction.backends import FinishReason, StepGeneration, SyntheticStep
 from entroduction.metrics import TokenRecord
 
@@ -42,17 +40,6 @@ def shifted_logprobs(logits) -> list[float]:
     peak = max(logits)
     total = math.log(sum(math.exp(x - peak) for x in logits))
     return [x - peak - total for x in logits]
-
-
-def masked_entropy_and_contributions(p) -> tuple[float, np.ndarray]:
-    """The entropy kernel with the p > 0 mask and scatter on every input:
-    the reference for the path that skips them when nothing underflowed."""
-    positive = p > 0.0
-    q = p[positive]
-    plogp = q * np.log2(q)
-    series = np.zeros_like(p)
-    series[positive] = -plogp
-    return float(0.0 - plogp.sum()), series
 
 
 def chunk_text(text: str, n: int) -> list[str]:

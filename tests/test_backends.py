@@ -13,7 +13,6 @@ from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +23,6 @@ from helpers import (
     P11,
     UNIFORM4,
     make_step,
-    masked_entropy_and_contributions,
     synthetic_schedule,
 )
 from entroduction.backends import (
@@ -45,19 +43,25 @@ import entroduction
 from entroduction import backends
 from entroduction.backends import base, openai_http
 from entroduction.backends.scripted import step_to_json
-from entroduction.backends.synthetic import _chunk_text, _solve
-from entroduction.metrics import TokenRecord, compute_step_metrics, step_softmax
+from entroduction.backends.synthetic import _chunk_text, _family_entropy, _solve
+from entroduction.metrics import (
+    TokenRecord,
+    _softmax_terms,
+    compute_step_metrics,
+    step_entropy,
+    step_softmax,
+)
 
 
 STEP_TEXT = "Work through the next part of the sum."
 ANSWER_TEXT = "The answer is 42."
-# A target-0.37 step, recorded before equal token records were shared:
-# chosen_logprob.hex() of the first token and of every later token.
+# A target-0.37 step: chosen_logprob.hex() of the first token and of every
+# later token, recorded with the exactly rounded softmax normalizer.
 PINNED_TARGET_LOGPROBS = {
     2: ("-0x1.2e14375d7a1fdp-4", "-0x1.52659cacebd10p+1"),
     8: ("-0x1.719c9764464fdp-3", "-0x1.df9c468844650p+1"),
-    32: ("-0x1.fcd05189c4a06p-3", "-0x1.3caee94a4e250p+2"),
-    128: ("-0x1.2ba1ab7b32f10p-2", "-0x1.8dd0673db32f1p+2"),
+    32: ("-0x1.fcd05189c4a0cp-3", "-0x1.3caee94a4e250p+2"),
+    128: ("-0x1.2ba1ab7b32f16p-2", "-0x1.8dd0673db32f1p+2"),
 }
 # First 16 hex digits of the sha256 of the token texts joined by NUL.
 PINNED_PIECES = {
@@ -92,34 +96,29 @@ def reference_chunk_text(text: str, n: int) -> list[str]:
 
 def reference_tokens(entry: SyntheticStep) -> tuple[TokenRecord, ...]:
     """The first step of a one-entry schedule, built token by token over
-    numpy logprobs of length n, one record per distinct (piece, logprob)
-    key: the reference for the build per distinct piece."""
+    logprobs of length n, one record per distinct (piece, logprob) key: the
+    reference for the build per distinct piece."""
     if entry.logprobs is not None:
-        raw = np.asarray(entry.logprobs, dtype=np.float64)
+        raw = list(entry.logprobs)
     else:
-        raw = np.asarray(
-            logits_for_normalized_entropy(entry.target_normalized_entropy, entry.n_tokens)
-        )
-    shifted = raw - raw.max()
-    logprobs = shifted - math.log(float(np.exp(shifted).sum()))
+        raw = list(logits_for_normalized_entropy(entry.target_normalized_entropy, entry.n_tokens))
+    peak = max(raw)
+    log_total = math.log(math.fsum(math.exp(x - peak) for x in raw))
+    logprobs = [x - peak - log_total for x in raw]
     text = entry.text or "synthetic step 1 of the reasoning schedule."
-    keys = list(zip(reference_chunk_text(text, len(logprobs)), logprobs.tolist()))
+    keys = list(zip(reference_chunk_text(text, len(logprobs)), logprobs))
     shared = {key: TokenRecord(key[0], min(0.0, key[1])) for key in dict.fromkeys(keys)}
     return tuple(map(shared.__getitem__, keys))
 
 
 def validated_solve(target: float, n_tokens: int, tolerance: float = 1e-9) -> float:
-    """The bisection with every evaluation checked: a fresh logit array
-    through ``step_softmax``, the distribution checks of ``step_entropy``,
-    then the masked entropy kernel. The reference for ``_solve``."""
+    """The bisection with every evaluation checked: a fresh logit list
+    through ``step_softmax``, then ``step_entropy`` with its distribution
+    checks. The reference for ``_solve``."""
     max_entropy = math.log2(n_tokens)
 
     def normalized(a: float) -> float:
-        logits = np.zeros(n_tokens)
-        logits[0] = a
-        p = step_softmax(logits)
-        assert p.ndim == 1 and not np.any(p < 0.0) and abs(float(p.sum()) - 1.0) <= 1e-9
-        return masked_entropy_and_contributions(p)[0] / max_entropy
+        return step_entropy(step_softmax([a] + [0.0] * (n_tokens - 1))) / max_entropy
 
     lo, hi = 0.0, 1.0
     while normalized(hi) > target:
@@ -446,6 +445,19 @@ class TestLogitsForTarget:
     def test_solve_equals_validated_bisection(self, target, n):
         assert _solve.__wrapped__(target, n, 1e-9).hex() == validated_solve(target, n).hex()
 
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.floats(0.0, 40.0)
+        | st.floats(0.0, 1e6)
+        | st.sampled_from([0.0, 1.0, 744.5, 745.2, 746.0, 1e6]),
+        st.integers(2, 300),
+    )
+    def test_family_entropy_equals_general_kernel(self, a, n):
+        # The solver's range, and past a = 745, where the rest underflow to
+        # p = 0 and give 0 terms.
+        expanded = _softmax_terms([a] + [0.0] * (n - 1))[0]
+        assert _family_entropy(a, n).hex() == expanded.hex()
+
     @pytest.mark.parametrize(
         "target, n, solved",
         [
@@ -545,20 +557,28 @@ class TestTemplates:
         assert reads == ["entroduction.templates"]
 
 
+def loaded_by_program(names: set[str]) -> str:
+    """The sorted list of ``names`` a fresh interpreter holds after importing the
+    program's four entry modules (this test process already holds them)."""
+    program = (
+        "import sys, entroduction, entroduction.backends, entroduction.harness, "
+        f"entroduction.cli; print(sorted(set(sys.modules).intersection({sorted(names)!r})))"
+    )
+    src = str(Path(entroduction.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
 class TestLazyHttpImport:
     def test_program_imports_without_the_http_stack(self):
-        # A fresh interpreter: this test process already holds requests.
-        program = (
-            "import sys, entroduction, entroduction.backends, entroduction.harness, "
-            "entroduction.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
-        )
-        src = str(Path(entroduction.__file__).parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run(
-            [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "[]"
+        assert loaded_by_program({"requests", "urllib3"}) == "[]"
+
+    def test_program_imports_without_numpy(self):
+        assert loaded_by_program({"numpy", "requests"}) == "[]"
 
     def test_http_backend_resolves_on_access(self):
         assert backends.OpenAIChatBackend is openai_http.OpenAIChatBackend

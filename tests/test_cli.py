@@ -117,6 +117,17 @@ class TestRunCommand:
         assert "backend failure: bad fixture line 1" in result.output
 
 
+    def test_fixture_with_byte_order_mark(self, tmp_path):
+        fixture = tmp_path / "fixture.jsonl"
+        dump_fixture([make_step("The answer is 4", A60)], fixture)
+        args = ["run", "q", "--backend", "scripted", "--fixture", str(fixture), "--max-steps", "1"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        fixture.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "'4'" in result.output
+
+
 class TestBenchCommand:
     def test_bench_scripted(self, tmp_path):
         dataset = tmp_path / "tasks.jsonl"
@@ -449,6 +460,16 @@ class TestTraceCommand:
         assert result.exit_code == 0, result.output
         assert "events: 3" in result.output
         assert len(reexport.read_text().strip().splitlines()) == 3
+
+    def test_trace_with_byte_order_mark(self, tmp_path):
+        out = tmp_path / "trace.jsonl"
+        CliRunner().invoke(
+            main, ["run", "q", "--max-steps", "3", "--metric-mode", "none", "--out", str(out)]
+        )
+        out.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        result = CliRunner().invoke(main, ["trace", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "events: 3" in result.output
 
     def test_missing_trace(self, tmp_path):
         result = CliRunner().invoke(main, ["trace", str(tmp_path / "none.jsonl")])

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import make_records, masked_entropy_and_contributions, shifted_logprobs
+from helpers import make_records, shifted_logprobs
 from entroduction import metrics
 from entroduction.metrics import (
     StepMetrics,
@@ -24,7 +24,6 @@ from entroduction.metrics import (
     normalized_variance_entropy,
     step_entropy,
     step_softmax,
-    token_entropies,
     variance_entropy,
 )
 
@@ -68,9 +67,9 @@ class TestStepSoftmax:
     def test_shift_invariance(self, logits, shift):
         base = step_softmax(logits)
         shifted = step_softmax([x + shift for x in logits])
-        assert np.all(np.abs(base - shifted) <= 1e-12)
-        assert abs(float(base.sum()) - 1.0) <= 1e-12
-        assert np.all(base > 0)
+        assert all(abs(b - s) <= 1e-12 for b, s in zip(base, shifted))
+        assert abs(math.fsum(base) - 1.0) <= 1e-12
+        assert all(p > 0 for p in base)
 
 
 class TestStepEntropy:
@@ -106,6 +105,14 @@ class TestStepEntropy:
         with pytest.raises(ValueError, match="not a distribution"):
             step_entropy(p)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty step"):
+            step_entropy([])
+
+    def test_huge_entries_are_not_a_distribution(self):
+        with pytest.raises(ValueError, match="not a distribution"):
+            step_entropy([1e308, 1e308])
+
     def test_uniform_attains_maximum(self):
         for n in (2, 3, 7, 64):
             assert step_entropy([1.0 / n] * n) == pytest.approx(math.log2(n), rel=1e-12)
@@ -124,34 +131,6 @@ class TestNormalizedEntropy:
     def test_invalid_length(self):
         with pytest.raises(ValueError, match="invalid length"):
             normalized_step_entropy(1.0, 0)
-
-
-class TestTokenEntropies:
-    def test_contribution_symmetric(self):
-        np.testing.assert_allclose(token_entropies([0.5, 0.5]), [0.5, 0.5], atol=1e-15)
-
-    def test_contribution_two_logit(self):
-        values = token_entropies(P_TWO)
-        np.testing.assert_allclose(values, CONTRIB_TWO, rtol=1e-12)
-        assert values.sum() == pytest.approx(H_TWO, rel=1e-12)
-
-    def test_zero_probability_contributes_zero(self):
-        np.testing.assert_array_equal(token_entropies([1.0, 0.0]), [0.0, 0.0])
-
-    @pytest.mark.parametrize(
-        "p, message",
-        [
-            ([-0.5, 1.5], "not a distribution"),
-            ([math.nan, 1.0], "not a distribution"),
-            ([0.5, 0.6], "not a distribution"),
-            ([], "empty step"),
-            ([[0.5, 0.5]], "empty step"),
-        ],
-    )
-    def test_checked_like_step_entropy(self, p, message):
-        for function in (token_entropies, step_entropy):
-            with pytest.raises(ValueError, match=message):
-                function(p)
 
 
 class TestVarianceEntropy:
@@ -241,8 +220,9 @@ class TestComputeStepMetrics:
             logits = rng.uniform(-6, 0, size=n)
             records = make_records(logits)
             m = compute_step_metrics(records)
-            series = token_entropies(step_softmax([r.chosen_logprob for r in records]))
-            assert abs(series.sum() - m.entropy_bits) <= 1e-9
+            p = step_softmax([r.chosen_logprob for r in records])
+            series = [-x * math.log2(x) for x in p]
+            assert abs(math.fsum(series) - m.entropy_bits) <= 1e-9
             assert m.mean_token_entropy == pytest.approx(m.entropy_bits / n, rel=1e-9)
             assert 0.0 <= m.normalized_entropy <= 1.0 + 1e-12
 
@@ -276,10 +256,9 @@ def sawtooth(n: int, step: float, span: float) -> list[float]:
     return [-((i * step) % span) for i in range(n)]
 
 
-# Fixed steps and their StepMetrics, recorded as float.hex with the
-# earlier kernel (separate step_entropy / token_entropies / np.var calls).
-# Any rewrite of compute_step_metrics must reproduce every bit, including
-# the sign of a zero entropy, which is +0.0 (that kernel gave -0.0 for n1).
+# Fixed steps and their StepMetrics as float.hex, recorded with the exactly
+# rounded kernel. Any rewrite of compute_step_metrics must reproduce every
+# bit, including the sign of a zero entropy, which is +0.0.
 PINNED_STEPS = {
     "n1": [-0.7],
     "n2": [-0.1, -2.4],
@@ -324,16 +303,16 @@ PINNED_METRICS = {
         "0x1.0d9aaa04e8868p+1",
         "0x1.5433db85e94f7p-1",
         "0x1.df4bd8ec480b9p-3",
-        "0x1.4b235ac3c36f0p-5",
-        "0x1.a1d98a27ee8cep-7",
+        "0x1.4b235ac3c36f1p-5",
+        "0x1.a1d98a27ee8cfp-7",
     ),
     "n32": (
         32,
         "0x1.d127a16fdc284p+1",
         "0x1.741fb4597ced0p-1",
         "0x1.d127a16fdc284p-4",
-        "0x1.26c12f1871130p-6",
-        "0x1.d79b7e8d81b80p-9",
+        "0x1.26c12f1871131p-6",
+        "0x1.d79b7e8d81b82p-9",
     ),
     "n128": (
         128,
@@ -353,11 +332,11 @@ PINNED_METRICS = {
     ),
     "tied_pairs": (
         6,
-        "0x1.e190c8cd91640p+0",
+        "0x1.e190c8cd9163fp+0",
         "0x1.749708f821282p-1",
-        "0x1.410b30890b980p-2",
-        "0x1.31f3360e0d40cp-5",
-        "0x1.d96e37677ed58p-7",
+        "0x1.410b30890b97fp-2",
+        "0x1.31f3360e0d40bp-5",
+        "0x1.d96e37677ed57p-7",
     ),
     "underflow": (
         5,
@@ -372,8 +351,8 @@ PINNED_METRICS = {
         "0x1.c57f949e4cce0p+1",
         "0x1.54da49236e0dcp-1",
         "0x1.6acc76e50a3e6p-4",
-        "0x1.157448e429a21p-6",
-        "0x1.a112c12407d52p-9",
+        "0x1.157448e429a22p-6",
+        "0x1.a112c12407d53p-9",
     ),
 }
 
@@ -404,37 +383,26 @@ underflowing_logprobs = st.lists(
 )
 
 
-class TestUnmaskedKernel:
+class TestUnderflow:
     @settings(max_examples=300, deadline=None)
     @given(underflowing_logprobs)
     @example([-1.0, -2.0, -3.0])
     @example([0.0, -800.0, -2.0])
+    @example([0.0, -800.0])
     @example([0.0])
-    def test_equals_masked_path_bit_for_bit(self, logprobs):
-        records = [TokenRecord(f"t{i}", lp) for i, lp in enumerate(logprobs)]
-        p = step_softmax(logprobs)
-
-        def outputs() -> list[str]:
-            m = compute_step_metrics(records)
-            fields = [
-                m.entropy_bits, m.normalized_entropy, m.mean_token_entropy,
-                m.variance_entropy, m.normalized_variance_entropy, step_entropy(p),
-            ]
-            return [v.hex() for v in fields + token_entropies(p).tolist()]
-
-        unmasked = outputs()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                metrics, "_entropy_and_contributions", masked_entropy_and_contributions
-            )
-            assert outputs() == unmasked
-
-    @pytest.mark.parametrize("p", [[math.nan, 1.0], [-0.5, 1.5], [0.0, 1.0], []])
-    def test_non_positive_entries_take_the_masked_path(self, p):
-        arr = np.asarray(p, dtype=np.float64)
-        assert [v.hex() for v in metrics._entropy_and_contributions(arr)[1].tolist()] == [
-            v.hex() for v in masked_entropy_and_contributions(arr)[1].tolist()
-        ]
+    def test_underflowed_entries_give_zero_terms(self, logprobs):
+        peak = max(logprobs)
+        underflowed = [math.exp(x - peak) == 0.0 for x in logprobs]
+        entropy, terms = metrics._softmax_terms(logprobs)
+        # An entry whose exp underflows is a 0 term, and the exactly rounded
+        # sums make the step's entropy that of the step without it.
+        assert all(t == 0.0 for t, u in zip(terms, underflowed) if u)
+        kept = [x for x, u in zip(logprobs, underflowed) if not u]
+        assert entropy.hex() == metrics._softmax_terms(kept)[0].hex()
+        m = compute_step_metrics([TokenRecord(f"t{i}", lp) for i, lp in enumerate(logprobs)])
+        assert m.entropy_bits.hex() == entropy.hex()
+        if len(kept) == 1:
+            assert entropy.hex() == step_entropy(step_softmax(logprobs)).hex() == "0x0.0p+0"
 
 
 class TestTokenRecordValidation:

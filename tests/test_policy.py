@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -147,11 +148,9 @@ class TestSampleAction:
     def test_metric_mode_none_skips_rng(self):
         config = PolicyConfig(epsilon=1.0, metric_mode=MetricMode.NONE, seed=2)
         rng = chain_rng(2, 0)
-        before = rng.bit_generator.state["state"]["state"]
         for _ in range(10):
             assert sample_action(PolicyState(1, 1), config, rng) is Action.DEEPEN
-        after = rng.bit_generator.state["state"]["state"]
-        assert before == after
+        assert rng.random() == chain_rng(2, 0).random()
 
     def test_apply_metric_mode(self):
         state = PolicyState(0.5, -0.5)
@@ -202,10 +201,38 @@ class TestPolicyConfig:
 
 class TestChainRng:
     def test_reproducible(self):
-        a = chain_rng(7, 2).random(5)
-        b = chain_rng(7, 2).random(5)
-        assert np.array_equal(a, b)
+        a, b = chain_rng(7, 2), chain_rng(7, 2)
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
     def test_negative_seed_handled(self):
         rng = chain_rng(-5, 0)
         assert 0.0 <= float(rng.random()) < 1.0
+
+    @pytest.mark.parametrize(
+        "seed, chain_id",
+        [
+            (0, 0), (1, 0), (77, 250), (-5, 0), (-1, -1), (-(2**40), 3),
+            (2**32 - 1, 2**32), (2**32, 7), (2**63, 2**64 - 1),
+            (2**64, 0), (2**64 + 7, 2**40), (2**70 + 123, -(2**65)), (-(2**64) - 1, 2**64 + 2),
+        ],
+    )
+    def test_equals_numpy_default_rng(self, seed, chain_id):
+        # numpy's stream, which chain_rng ports, is the oracle.
+        mask = 2**64 - 1
+        oracle = np.random.default_rng(np.random.SeedSequence([seed & mask, chain_id & mask]))
+        rng = chain_rng(seed, chain_id)
+        assert [rng.random().hex() for _ in range(64)] == [
+            float(oracle.random()).hex() for _ in range(64)
+        ]
+
+    def test_equals_numpy_default_rng_on_random_keys(self):
+        pick = random.Random(20240018)
+        mask = 2**64 - 1
+        for _ in range(300):
+            seed = pick.choice([pick.randrange(-(2**70), 2**70), pick.randrange(-100, 100)])
+            chain_id = pick.choice([pick.randrange(0, 64), pick.randrange(-(2**66), 2**66)])
+            words = [seed & mask, chain_id & mask]
+            oracle = np.random.default_rng(np.random.SeedSequence(words))
+            rng = chain_rng(seed, chain_id)
+            for _ in range(50):
+                assert rng.random() == oracle.random(), (seed, chain_id)
