@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Protocol, runtime_checkable
@@ -67,7 +68,6 @@ class GenerationRequest:
     prior_steps: tuple[str, ...] = ()
     temperature: float = 0.7
     max_tokens: int = 128
-    top_logprobs: int = 5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prior_steps", tuple(self.prior_steps))
@@ -75,8 +75,6 @@ class GenerationRequest:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.top_logprobs < 0:
-            raise ValueError("top_logprobs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,8 @@ class StepGeneration:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
+        if not isinstance(self.text, str):
+            raise TypeError(f"step text must be a string, got {self.text!r}")
         if self.text and not self.tokens:
             raise ValueError("non-empty text requires tokens")
         if self.tokens:
@@ -113,18 +113,29 @@ class Backend(Protocol):
         ...
 
 
+def json_logprob(value: object) -> float:
+    """A logprob read from JSON, a finite number and not a boolean, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"logprob must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite logprob {value}")
+    return float(value)
+
+
+@functools.cache
+def _marker_pattern(marker: str) -> re.Pattern:
+    # The greedy prefix makes a match end after the marker's last occurrence.
+    return re.compile(".*" + re.escape(marker), re.IGNORECASE | re.DOTALL)
+
+
 def detect_answer_marker(text: str, marker: str = DEFAULT_ANSWER_MARKER) -> str | None:
     """Trailing answer span after the last occurrence of ``marker``, if any.
 
     Matching is case-insensitive; the remainder is stripped of surrounding
     whitespace. Returns None when the marker is absent or has no remainder.
     """
-    if not text or not marker:
-        return None
-    index = text.lower().rfind(marker.lower())
-    if index < 0:
-        return None
-    remainder = text[index + len(marker):].strip()
+    match = _marker_pattern(marker).match(text)
+    remainder = text[match.end():].strip() if match else ""
     return remainder or None
 
 

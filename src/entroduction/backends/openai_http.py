@@ -1,12 +1,12 @@
 """HTTP backend for OpenAI-compatible chat-completions endpoints.
 
-Sends one chat-completions request per reasoning step with logprobs enabled
-and parses the per-token log-probability payload into token records. Network
-failures, 429 (rate limited) and 5xx responses are retried: after a numeric
-``Retry-After`` header, capped at ``MAX_RETRY_AFTER_S``, or else after an
-exponential backoff with full jitter. Any other 4xx, or a response without
-logprob content, is a fatal configuration error because the whole method
-depends on it.
+Sends one chat-completions request per reasoning step, asking for the
+sampled tokens' log-probabilities and no alternatives, and parses them into
+token records. Network failures, 429 (rate limited) and 5xx responses are
+retried: after a numeric ``Retry-After`` header, capped at
+``MAX_RETRY_AFTER_S``, or else after an exponential backoff with full jitter.
+Any other 4xx, or a response without logprob content, is a fatal
+configuration error because the whole method depends on it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .base import (
     StepGeneration,
     TransportError,
     detect_answer_marker,
+    json_logprob,
     render_step_prompt,
 )
 
@@ -58,14 +59,6 @@ def _retry_after(response: requests.Response) -> float | None:
     if math.isnan(seconds) or seconds < 0:
         return None
     return min(seconds, MAX_RETRY_AFTER_S)
-
-
-def _logprob(entry: dict) -> float:
-    """A finite logprob, with tiny positive values (rounding) clamped to 0."""
-    value = float(entry["logprob"])
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite logprob {value} for token {entry.get('token')!r}")
-    return min(0.0, value)
 
 
 class OpenAIChatBackend:
@@ -166,7 +159,6 @@ class OpenAIChatBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
             "logprobs": True,
-            "top_logprobs": request.top_logprobs,
             "stop": list(self._stop),
         }
 
@@ -212,31 +204,18 @@ class OpenAIChatBackend:
 
     @staticmethod
     def _parse_tokens(content: list) -> tuple[TokenRecord, ...]:
-        """Token records from a logprobs payload; a missing, non-finite or
-        float-overflowing logprob, chosen or alternative, is a BackendError."""
-        records = []
+        """Token records from a logprobs payload's ``token`` and ``logprob``
+        fields, with tiny positive logprobs (rounding) clamped to 0; any
+        ``top_logprobs`` alternatives are ignored. A text that is not a
+        string, or a logprob that is missing, not a number, non-finite or
+        float-overflowing, is a BackendError."""
         try:
-            for item in content:
-                alternatives = None
-                top = item.get("top_logprobs")
-                if top:
-                    alternatives = tuple(
-                        sorted(
-                            ((str(alt["token"]), _logprob(alt)) for alt in top),
-                            key=lambda pair: pair[1],
-                            reverse=True,
-                        )
-                    )
-                records.append(
-                    TokenRecord(
-                        text=str(item["token"]),
-                        chosen_logprob=_logprob(item),
-                        top_alternatives=alternatives,
-                    )
-                )
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            return tuple(
+                TokenRecord(item["token"], min(0.0, json_logprob(item["logprob"])))
+                for item in content
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BackendError(f"malformed logprob entry: {exc!r}") from exc
-        return tuple(records)
 
     def generate_step(self, request: GenerationRequest) -> StepGeneration:
         data = self._post(self._payload(request))
@@ -251,8 +230,6 @@ class OpenAIChatBackend:
         if not logprobs or not logprobs.get("content"):
             raise ConfigurationError("logprobs unavailable")
         tokens = self._parse_tokens(logprobs["content"])
-        if not tokens:
-            raise BackendError("empty step")
 
         # The token texts are authoritative: stop-sequence trimming can make
         # message.content disagree with the logprob stream.

@@ -3,10 +3,10 @@
 Fixtures are JSONL, one step per line:
 
     {"text": "...", "finish_reason": "stop_sequence",
-     "tokens": [{"text": "...", "logprob": -0.3,
-                 "top": [{"token": "...", "logprob": -0.3}, ...]}]}
+     "tokens": [{"text": "...", "logprob": -0.3}, ...]}
 
-``top`` may be null or omitted. Playback is strictly in file order and
+Texts must be strings and logprobs numbers. A token's ``top`` key, written by
+older versions, is ignored. Playback is strictly in file order and
 mutation-free, so two runs over the same fixture are identical.
 """
 
@@ -18,7 +18,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..metrics import TokenRecord
-from .base import BackendError, ConfigurationError, FinishReason, GenerationRequest, StepGeneration
+from .base import (
+    BackendError, ConfigurationError, FinishReason, GenerationRequest, StepGeneration, json_logprob,
+)
 
 __all__ = ["ScriptedBackend", "load_fixture", "dump_fixture"]
 
@@ -26,33 +28,12 @@ __all__ = ["ScriptedBackend", "load_fixture", "dump_fixture"]
 def _token_from_json(obj: dict) -> TokenRecord:
     if not isinstance(obj, dict):
         raise TypeError(f"token entry must be an object, got {obj!r}")
-    top = obj.get("top")
-    alternatives = None
-    if top:
-        alternatives = tuple(
-            sorted(
-                ((str(item["token"]), float(item["logprob"])) for item in top),
-                key=lambda pair: pair[1],
-                reverse=True,
-            )
-        )
-    return TokenRecord(
-        text=str(obj["text"]),
-        chosen_logprob=float(obj["logprob"]),
-        top_alternatives=alternatives,
-    )
-
-
-def _token_to_json(token: TokenRecord) -> dict:
-    top = None
-    if token.top_alternatives is not None:
-        top = [{"token": t, "logprob": lp} for t, lp in token.top_alternatives]
-    return {"text": token.text, "logprob": token.chosen_logprob, "top": top}
+    return TokenRecord(text=obj["text"], chosen_logprob=json_logprob(obj["logprob"]))
 
 
 def step_from_json(obj: dict) -> StepGeneration:
     return StepGeneration(
-        text=str(obj["text"]),
+        text=obj["text"],
         tokens=tuple(_token_from_json(t) for t in obj["tokens"]),
         finish_reason=FinishReason(obj["finish_reason"]),
     )
@@ -62,7 +43,7 @@ def step_to_json(step: StepGeneration) -> dict:
     return {
         "text": step.text,
         "finish_reason": step.finish_reason.value,
-        "tokens": [_token_to_json(t) for t in step.tokens],
+        "tokens": [{"text": t.text, "logprob": t.chosen_logprob} for t in step.tokens],
     }
 
 

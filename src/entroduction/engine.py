@@ -124,7 +124,6 @@ class RunConfig:
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
     temperature: float = GenerationRequest.temperature
     max_tokens: int = GenerationRequest.max_tokens
-    top_logprobs: int = GenerationRequest.top_logprobs
     elicit_final_answer: bool = True
 
     def __post_init__(self) -> None:
@@ -191,7 +190,6 @@ def request_for(config: RunConfig, task: str, prior: Sequence[str]) -> Generatio
         prior_steps=tuple(prior),
         temperature=config.temperature,
         max_tokens=config.max_tokens,
-        top_logprobs=config.top_logprobs,
     )
 
 

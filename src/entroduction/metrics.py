@@ -53,6 +53,8 @@ class TokenRecord:
     top_alternatives: tuple[tuple[str, float], ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise TypeError(f"token text must be a string, got {self.text!r}")
         if not isfinite(self.chosen_logprob):
             raise ValueError("non-finite logit")
         if self.chosen_logprob > 0.0:

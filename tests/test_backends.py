@@ -173,6 +173,9 @@ class TestDetectAnswerMarker:
     def test_case_insensitive_last_occurrence(self):
         text = "The Answer Is maybe. THE ANSWER IS 7"
         assert detect_answer_marker(text) == "7"
+        # "İ".lower() is two characters long: the span is cut from the text itself.
+        assert detect_answer_marker("İİ: the answer is 142") == "142"
+        assert detect_answer_marker("İİİ: the answer is 142") == "142"
 
     def test_marker_without_remainder(self):
         assert detect_answer_marker("the answer is") is None
@@ -207,15 +210,18 @@ class TestScriptedBackend:
         with pytest.raises(BackendError, match="exhausted"):
             backend.generate_step(request())
 
-    def test_alternatives_roundtrip(self, tmp_path):
-        token = TokenRecord(
-            "x", -0.2, top_alternatives=(("x", -0.2), ("y", -1.7))
-        )
-        step = StepGeneration("x", (token,), FinishReason.STOP_SEQUENCE)
+    def test_alternatives_ignored_and_not_written(self, tmp_path):
         path = tmp_path / "f.jsonl"
+        old_line = {"text": "x", "finish_reason": "stop_sequence",
+                    "tokens": [{"text": "x", "logprob": -0.2,
+                                "top": [{"token": "x", "logprob": -0.2}]}]}
+        path.write_text(json.dumps(old_line) + "\n", encoding="utf-8")
+        step = StepGeneration("x", (TokenRecord("x", -0.2),), FinishReason.STOP_SEQUENCE)
+        assert load_fixture(path) == [step]
         dump_fixture([step], path)
-        loaded = load_fixture(path)[0]
-        assert loaded.tokens[0].top_alternatives == (("x", -0.2), ("y", -1.7))
+        assert json.loads(path.read_text(encoding="utf-8"))["tokens"] == [
+            {"text": "x", "logprob": -0.2}
+        ]
 
     def test_unreadable_fixture_is_configuration_error(self, tmp_path):
         path = tmp_path / "fixture.jsonl"
@@ -236,6 +242,26 @@ class TestScriptedBackend:
         line = {"text": "a", "finish_reason": "stop_sequence", "tokens": [token]}
         path.write_text(json.dumps(line) + "\n", encoding="utf-8")
         with pytest.raises(BackendError, match="bad fixture line 1: token entry must be an object"):
+            load_fixture(path)
+
+    @pytest.mark.parametrize("step_text, text, logprob, error", [
+        ("None", None, -0.1, "token text must be a string"),
+        ("7", 7, -0.1, "token text must be a string"),
+        ("x", ["x"], -0.1, "token text must be a string"),
+        ("x", "x", True, "logprob must be a number"),
+        ("x", "x", False, "logprob must be a number"),
+        ("x", "x", "-0.1", "logprob must be a number"),
+        (None, "None", -0.1, "step text must be a string"),
+        (7, "7", -0.1, "step text must be a string"),
+    ])
+    def test_bad_text_or_logprob_is_bad_fixture_line(
+        self, tmp_path, step_text, text, logprob, error
+    ):
+        path = tmp_path / "bad.jsonl"
+        line = {"text": step_text, "finish_reason": "stop_sequence",
+                "tokens": [{"text": text, "logprob": logprob}]}
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        with pytest.raises(BackendError, match=f"bad fixture line 1: {error}"):
             load_fixture(path)
 
     def test_huge_integer_logprob_is_bad_fixture_line(self, tmp_path):
@@ -510,7 +536,6 @@ class TestGenerationRequest:
         req = GenerationRequest(system_prompt="s", task="t")
         assert req.temperature == 0.7
         assert req.max_tokens == 128
-        assert req.top_logprobs == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -92,7 +92,10 @@ class KeyedBackend:
 
 
 def reply(request: GenerationRequest, occurrence: int):
-    rng = random.Random(hashlib.sha256(repr((request, occurrence)).encode()).digest())
+    # Seeded from repr((request, occurrence)) as it read while requests carried
+    # top_logprobs=5, so every reply stream below stays as recorded.
+    key = f"({repr(request)[:-1]}, top_logprobs=5), {occurrence!r})"
+    rng = random.Random(hashlib.sha256(key.encode()).digest())
     if request.task.startswith("Task:") or (
         len(request.prior_steps) >= 3 and rng.random() < 0.1
     ):

@@ -135,7 +135,7 @@ class TestQuadrantBehaviors:
 class TestRunConfig:
     @pytest.mark.parametrize("values", [
         {"temperature": -1.0}, {"temperature": float("nan")}, {"temperature": float("inf")},
-        {"max_tokens": 0}, {"top_logprobs": -1},
+        {"max_tokens": 0},
     ])
     def test_rejects_what_a_request_rejects(self, values):
         with pytest.raises(ValueError) as request_error:

@@ -73,7 +73,6 @@ def step_request(**kwargs) -> GenerationRequest:
         prior_steps=("first thought",),
         temperature=0.7,
         max_tokens=128,
-        top_logprobs=5,
     )
     defaults.update(kwargs)
     return GenerationRequest(**defaults)
@@ -89,7 +88,7 @@ class TestRequestShape:
         assert body["temperature"] == 0.35
         assert body["max_tokens"] == 77
         assert body["logprobs"] is True
-        assert body["top_logprobs"] == 5
+        assert "top_logprobs" not in body
         assert body["stop"] == ["\n"]
         assert body["messages"][0] == {"role": "system", "content": "be brief"}
         user = body["messages"][1]
@@ -119,14 +118,29 @@ class TestParsing:
         for field, expected in ref.items():
             assert oracle.close(getattr(metrics, field), expected, rel=1e-9), field
 
-    def test_top_logprobs_sorted_and_clamped(self):
-        tokens = [("x", 1e-9, [("y", -2.0), ("x", 1e-9)])]
-        with ChatCompletionsMock([completion_payload(tokens)]) as mock:
+    def test_alternatives_ignored(self):
+        def reply(top):
+            payload = completion_payload(THREE_TOKENS + [("!", 1e-9)])
+            if top is not None:
+                for entry in payload["choices"][0]["logprobs"]["content"]:
+                    entry["top_logprobs"] = top
+            return payload
+
+        tops = [
+            [{"token": "y", "logprob": -0.1}, {"token": "z", "logprob": -2.0}],
+            [{"token": "y", "logprob": float("nan")}],
+            [{"token": "y", "logprob": float("-inf")}],
+            [{"token": "y"}],
+            [{"token": "y", "logprob": -HUGE}],
+            None,
+        ]
+        with ChatCompletionsMock([reply(top) for top in tops]) as mock:
             backend = make_backend(mock)
-            step = backend.generate_step(step_request())
-        assert step.tokens[0].chosen_logprob == 0.0
-        alts = step.tokens[0].top_alternatives
-        assert alts == (("x", 0.0), ("y", -2.0))
+            steps = [backend.generate_step(step_request()) for _ in tops]
+        assert steps[0].text == "Add the numbers.!"
+        assert [t.chosen_logprob for t in steps[0].tokens] == [-0.2, -1.6, -0.7, 0.0]
+        assert all(t.top_alternatives is None for t in steps[0].tokens)
+        assert all(step == steps[0] for step in steps)
 
     @pytest.mark.parametrize(
         "entry",
@@ -138,15 +152,14 @@ class TestParsing:
             {"token": "x", "logprob": None},
             {"token": "x", "logprob": "low"},
             {"logprob": -0.1},
-            {"token": "x", "logprob": -0.1,
-             "top_logprobs": [{"token": "y", "logprob": float("nan")}]},
-            {"token": "x", "logprob": -0.1,
-             "top_logprobs": [{"token": "y", "logprob": float("-inf")}]},
-            {"token": "x", "logprob": -0.1, "top_logprobs": [{"token": "y"}]},
+            {"token": None, "logprob": -0.1},
+            {"token": 7, "logprob": -0.1},
+            {"token": ["x"], "logprob": -0.1},
             {"token": "x", "logprob": -HUGE},
             {"token": "x", "logprob": HUGE},
-            {"token": "x", "logprob": -0.1,
-             "top_logprobs": [{"token": "y", "logprob": -HUGE}]},
+            {"token": "x", "logprob": True},
+            {"token": "x", "logprob": False},
+            {"token": "x", "logprob": "-0.1"},
         ],
     )
     def test_bad_logprob_rejected(self, entry):
@@ -162,9 +175,9 @@ class TestParsing:
             return
         for record in records:
             assert isinstance(record, TokenRecord)
+            assert isinstance(record.text, str)
             assert math.isfinite(record.chosen_logprob) and record.chosen_logprob <= 0.0
-            for _, lp in record.top_alternatives or ():
-                assert math.isfinite(lp) and lp <= 0.0
+            assert record.top_alternatives is None
 
     def test_huge_integer_logprob_ends_only_its_task(self):
         huge = completion_payload([("x", -HUGE)])
