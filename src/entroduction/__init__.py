@@ -21,9 +21,7 @@ from .policy import (
     MetricMode,
     PolicyConfig,
     PolicyState,
-    StopDirective,
     action_distribution,
-    apply_stop,
     classify,
     sample_action,
 )
@@ -58,11 +56,9 @@ __all__ = [
     "MetricMode",
     "PolicyConfig",
     "PolicyState",
-    "StopDirective",
     "classify",
     "action_distribution",
     "sample_action",
-    "apply_stop",
     "ExecutedBehavior",
     "RunConfig",
     "RunResult",

@@ -234,9 +234,6 @@ class OpenAIChatBackend:
         # The token texts are authoritative: stop-sequence trimming can make
         # message.content disagree with the logprob stream.
         text = "".join(t.text for t in tokens)
-        if not text.strip():
-            raise BackendError("empty step")
-
         if detect_answer_marker(text):
             finish = FinishReason.ANSWER_MARKER
         elif choice.get("finish_reason") == "length":

@@ -104,6 +104,4 @@ class ScriptedBackend:
                 )
             step = self._steps[self._position]
             self._position += 1
-        if not step.tokens:
-            raise BackendError("empty step")
         return step

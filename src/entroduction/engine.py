@@ -8,9 +8,10 @@ previous one and the delta pair is classified and sampled epsilon-greedily:
 * Deepen keeps the chain growing,
 * Expand immediately samples a sibling continuation, forming a new chain
   that shares the prefix by node identity (at the chain budget it degrades
-  to a deepen),
-* Stop finalizes the chain, either immediately (hard stop) or after a fixed
-  grace of forced steps (soft stop).
+  to a deepen, so progress is never lost),
+* Stop finalizes the chain, either immediately (hard stop, stop_k = 1) or
+  after a grace of stop_k - 1 forced steps (soft stop), which later deltas
+  cannot cancel.
 
 A chain also finalizes as soon as a step states an answer ("the answer is
 ..."), which preempts whatever action was sampled for that step, and every
@@ -59,8 +60,6 @@ from .policy import (
     Decision,
     PolicyConfig,
     PolicyState,
-    StopDirective,
-    apply_stop,
     chain_rng,
     decide,
 )
@@ -144,10 +143,13 @@ class RunResult:
     trace: tuple[TraceEvent, ...]
     total_steps: int
     wall_time: float
-    no_conclusion: bool = False
     aborted: bool = False
     error: str | None = None
     conclusion_calls: int = 0
+
+    @property
+    def no_conclusion(self) -> bool:
+        return not self.conclusion
 
 
 def majority_vote(
@@ -205,8 +207,10 @@ class CallScheduler:
     the caller's thread in key order, as in a plain loop, and so is a call
     with nothing in flight and only identical requests waiting. Identical
     requests run one after another, so a backend that answers by (request,
-    occurrence) gives the same replies in any schedule. The earliest failing
-    key is raised once every reply at an earlier key has been returned.
+    occurrence) gives the same replies in any schedule. A reply whose text is
+    blank fails its call with ``BackendError("empty step")``, whichever
+    backend sent it. The earliest failing key is raised once every reply at
+    an earlier key has been returned.
     ``close`` cancels calls not yet started and waits for those in flight.
     """
 
@@ -268,7 +272,10 @@ class CallScheduler:
         if not self._kept(key):
             return
         try:
-            self._ready.append((key, outcome(*args)))
+            generation = outcome(*args)
+            if not generation.text.strip():
+                raise BackendError("empty step")
+            self._ready.append((key, generation))
         except Exception as exc:
             self._failed = key, exc
             self._waiting = [w for w in self._waiting if w[0] < key]
@@ -297,7 +304,6 @@ class _Runner:
         self.structure = create_structure(task, config.max_chains)
         self.trace: list[TraceEvent] = []
         self.rngs: dict[int, ChainRng] = {}
-        self.total_steps = 0
         self.conclusion_calls = 0
         self.replies: dict[tuple, StepGeneration] = {}
 
@@ -313,23 +319,19 @@ class _Runner:
         return self.replies.pop(key)
 
     def make_node(self, chain: Chain, generation: StepGeneration) -> ReasoningNode:
-        if not generation.tokens:
-            raise BackendError("empty step")
-        metrics = compute_step_metrics(generation.tokens)
-        node = ReasoningNode(
+        return ReasoningNode(
             id=self.structure.allocate_node_id(),
             step_index=len(chain.nodes) + 1,
             text=generation.text,
             tokens=generation.tokens,
-            metrics=metrics,
+            metrics=compute_step_metrics(generation.tokens),
         )
-        self.total_steps += 1
-        return node
 
     def record(
         self,
         chain: Chain,
         node: ReasoningNode,
+        answer: str | None,
         step_index: int,
         executed: str,
         state: PolicyState | None = None,
@@ -337,8 +339,7 @@ class _Runner:
         remaining: int | None = None,
         reason: str | None = None,
     ) -> None:
-        """Finalize ``chain`` if ``node`` states an answer, then log the node."""
-        answer = detect_answer_marker(node.text, self.config.answer_marker)
+        """Finalize ``chain`` if ``node`` states ``answer``, then log the node."""
         if answer:
             chain.final_answer = answer
             chain.finalize()
@@ -363,6 +364,7 @@ class _Runner:
     ) -> None:
         """Commit the reply to ``request``, at key ``(step_index, k, 0)``, as the chain's step."""
         node = self.make_node(chain, self.reply((step_index, k, 0)))
+        answer = detect_answer_marker(node.text, self.config.answer_marker)
 
         # Soft-stop grace steps, and the first two steps (no delta pair
         # exists yet), are unconditional deepens.
@@ -376,7 +378,7 @@ class _Runner:
             )
             decision = decide(state, self.config.policy, self.rng_for(chain.id))
             action = decision.action
-            if detect_answer_marker(node.text, self.config.answer_marker):
+            if answer:
                 # An answer preempts whatever was sampled: keep the step, end the chain.
                 action = Action.DEEPEN
             elif action is Action.EXPAND and (
@@ -391,25 +393,24 @@ class _Runner:
             self.calls.submit(request, (step_index, k, 1))
             sibling_node = self.make_node(chain, self.reply((step_index, k, 1)))
             sibling_id = self.structure.expand(chain, node, sibling_node)
-            assert sibling_id is not None  # budget was checked above
         else:
             chain.deepen(node)
         if chain.status is ChainStatus.STOP_PENDING:
-            remaining = chain.tick_stop_grace()
+            chain.stop_remaining = remaining = chain.stop_remaining - 1
             if remaining == 0:
                 chain.finalize()
                 reason = "stop_grace_exhausted"
+        elif action is Action.STOP and self.config.policy.stop_k == 1:
+            chain.finalize()
+            reason = "stop"
         elif action is Action.STOP:
-            if apply_stop(chain, self.config.policy) is StopDirective.TERMINATE:
-                chain.finalize()
-                reason = "stop"
-            else:
-                remaining = chain.stop_remaining
-        self.record(chain, node, step_index, executed, state, decision, remaining, reason)
+            chain.status = ChainStatus.STOP_PENDING
+            chain.stop_remaining = remaining = self.config.policy.stop_k - 1
+        self.record(chain, node, answer, step_index, executed, state, decision, remaining, reason)
         if action is Action.EXPAND:
-            self.record(
-                self.structure.chains[-1], sibling_node, step_index, ExecutedBehavior.EXPAND
-            )
+            sibling_answer = detect_answer_marker(sibling_node.text, self.config.answer_marker)
+            self.record(self.structure.chains[sibling_id], sibling_node, sibling_answer,
+                        step_index, ExecutedBehavior.EXPAND)
 
     def advance_round(self, step_index: int) -> None:
         """Advance every unfinished chain by one step, all calls submitted first."""
@@ -471,9 +472,8 @@ class _Runner:
             structure=self.structure,
             conclusion=conclusion,
             trace=tuple(self.trace),
-            total_steps=self.total_steps,
+            total_steps=self.structure.nodes_allocated,
             wall_time=time.perf_counter() - started,
-            no_conclusion=not answered,
             aborted=aborted,
             error=error,
             conclusion_calls=self.conclusion_calls,

@@ -10,9 +10,8 @@ the two most recent steps of a chain and maps the sign pair to a best action:
 
 Zero deltas count as decreases, favoring continuation. The actual action is
 then drawn epsilon-greedily: the best action with probability 1 - epsilon,
-each alternative with epsilon / 2. A sampled Stop is applied either hard
-(stop_k = 1, finalize now) or soft (stop_k >= 2, a grace of stop_k - 1 forced
-steps before finalizing, not cancellable).
+each alternative with epsilon / 2. The engine carries out the sampled action,
+including ``stop_k``'s hard or soft stop.
 """
 
 from __future__ import annotations
@@ -21,12 +20,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .structure import Chain, ChainStatus
-
 __all__ = [
     "Action",
     "MetricMode",
-    "StopDirective",
     "PolicyState",
     "PolicyConfig",
     "Decision",
@@ -35,7 +31,6 @@ __all__ = [
     "apply_metric_mode",
     "decide",
     "sample_action",
-    "apply_stop",
     "ChainRng",
     "chain_rng",
 ]
@@ -57,11 +52,6 @@ class MetricMode(enum.Enum):
     ENTROPY_ONLY = "entropy"
     VARIANCE_ONLY = "variance"
     NONE = "none"
-
-
-class StopDirective(enum.Enum):
-    CONTINUE = "continue"
-    TERMINATE = "terminate"
 
 
 @dataclass(frozen=True)
@@ -164,22 +154,6 @@ def sample_action(
 ) -> Action:
     """The action to execute for ``state`` (post ablation remaps)."""
     return decide(state, config, rng).action
-
-
-def apply_stop(chain: Chain, config: PolicyConfig) -> StopDirective:
-    """Apply a sampled Stop to ``chain``.
-
-    Hard stop (stop_k = 1) terminates immediately. Soft stop puts the chain
-    into a stop-pending grace of stop_k - 1 steps; the engine force-deepens
-    and ticks the grace down each iteration, finalizing at zero. The grace is
-    not cancellable by later deltas.
-    """
-    if config.stop_k <= 1:
-        return StopDirective.TERMINATE
-    if chain.status is ChainStatus.STOP_PENDING:
-        return StopDirective.CONTINUE
-    chain.begin_stop_grace(config.stop_k - 1)
-    return StopDirective.CONTINUE
 
 
 M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

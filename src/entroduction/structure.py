@@ -3,8 +3,8 @@
 A structure starts as a single empty chain and grows by three mutations:
 deepen (append a node to a chain), expand (fork a chain into two chains that
 share their prefix by node identity), and finalize (permanently stop a
-chain). Chain count is capped by ``max_chains``; an expand at the cap
-degrades to a deepen so progress is never lost.
+chain). Chain count is capped by ``max_chains``: an expand at the cap is
+refused. When to apply each mutation is the engine's rule.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class Chain:
 
     ``parent`` records an expand origin as (parent chain id, shared prefix
     length). ``stop_remaining`` counts the grace steps left once a soft stop
-    is pending.
+    is pending; the engine sets and ticks it.
     """
 
     id: int
@@ -94,22 +94,6 @@ class Chain:
         self.status = ChainStatus.FINALIZED
         self.stop_remaining = None
 
-    def begin_stop_grace(self, remaining: int) -> None:
-        """Enter the soft-stop grace period with ``remaining`` forced steps."""
-        if self.finalized:
-            raise ValueError("chain finalized")
-        if remaining < 1:
-            raise ValueError("grace must be >= 1 step")
-        self.status = ChainStatus.STOP_PENDING
-        self.stop_remaining = remaining
-
-    def tick_stop_grace(self) -> int:
-        """Consume one grace step; returns the remaining count."""
-        if self.status is not ChainStatus.STOP_PENDING or self.stop_remaining is None:
-            raise ValueError("chain is not stop-pending")
-        self.stop_remaining -= 1
-        return self.stop_remaining
-
     def mean_normalized_entropy(self) -> float:
         """Mean normalized step entropy over this chain's nodes; 0 if empty."""
         if not self.nodes:
@@ -119,22 +103,22 @@ class Chain:
 
 @dataclass
 class ReasoningStructure:
-    """All chains built for one task, capped at ``max_chains``."""
+    """All chains built for one task, capped at ``max_chains``.
+
+    ``nodes_allocated`` counts the node ids handed out, attached or not.
+    """
 
     task: str
     max_chains: int
     chains: list[Chain] = field(default_factory=list)
-    _next_chain_id: int = 0
-    _next_node_id: int = 0
+    nodes_allocated: int = 0
 
     def allocate_node_id(self) -> int:
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        return node_id
+        self.nodes_allocated += 1
+        return self.nodes_allocated - 1
 
     def _allocate_chain(self, parent: tuple[int, int] | None = None) -> Chain:
-        chain = Chain(id=self._next_chain_id, parent=parent)
-        self._next_chain_id += 1
+        chain = Chain(id=len(self.chains), parent=parent)
         self.chains.append(chain)
         return chain
 
@@ -155,24 +139,20 @@ class ReasoningStructure:
             seen.update(node.id for node in chain.nodes)
         return len(seen)
 
-    def expand(
-        self, chain: Chain, node_a: ReasoningNode, node_b: ReasoningNode
-    ) -> int | None:
+    def expand(self, chain: Chain, node_a: ReasoningNode, node_b: ReasoningNode) -> int:
         """Fork ``chain``: it receives ``node_a``; a new chain gets the shared
-        prefix plus ``node_b``.
-
-        At the chain budget this degrades to a plain deepen of ``node_a`` and
-        returns None instead of the new chain id.
+        prefix plus ``node_b``. Returns the new chain's id. At the chain
+        budget it raises ValueError and changes nothing.
         """
         if chain.status is not ChainStatus.ACTIVE:
             raise ValueError("can only expand an active chain")
+        if len(self.chains) >= self.max_chains:
+            raise ValueError(f"chain budget of {self.max_chains} exhausted")
         expected = len(chain.nodes) + 1
         if node_a.step_index != expected or node_b.step_index != expected:
             raise ValueError(f"both fork nodes must have step_index {expected}")
         prefix = list(chain.nodes)
         chain.deepen(node_a)
-        if len(self.chains) >= self.max_chains:
-            return None
         sibling = self._allocate_chain(parent=(chain.id, len(prefix)))
         sibling.nodes = prefix + [node_b]
         return sibling.id

@@ -4,12 +4,27 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from helpers import UNIFORM4, make_step
 from test_concurrency import GATE_TIMEOUT_S, KeyedBackend, worker_threads
 from entroduction.backends import BackendError, GenerationRequest
 from entroduction.harness import BaselineParams, run_chain_baseline, run_tree_baseline
 
 QUESTION = "what is 2 + 2?"
+
+
+class TestBlankReply:
+    def test_whitespace_reply_fails_the_tree(self):
+        class BlankSecondLayer:
+            max_in_flight = 2
+
+            def generate_step(self, request: GenerationRequest):
+                return make_step("" if request.prior_steps else "thinking", UNIFORM4)
+
+        with pytest.raises(BackendError, match="empty step"):
+            run_tree_baseline(QUESTION, BaselineParams(branching=2, layers=3), BlankSecondLayer())
+        assert worker_threads() == []
 
 
 class TestLeafAnswer:

@@ -128,6 +128,42 @@ class TestRunCommand:
         assert "'4'" in result.output
 
 
+BLANK_STEP = {"text": "", "finish_reason": "stop_sequence",
+              "tokens": [{"text": "", "logprob": -0.1}]}
+
+
+class TestBlankStep:
+    """A blank reply is a backend failure of its run, not a configuration error."""
+
+    def test_run_exits_2(self, tmp_path):
+        fixture = tmp_path / "blank.jsonl"
+        fixture.write_text(json.dumps(BLANK_STEP) + "\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["run", "q", "--backend", "scripted", "--fixture", str(fixture)]
+        )
+        assert_exit(result, 2, "backend failure: empty step")
+
+    @pytest.mark.parametrize("method", ["entroduction", "tot"])
+    def test_bench_records_the_error_on_each_task(self, tmp_path, method):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [
+            {"id": "1", "question": "one?", "answer": "1"},
+            {"id": "2", "question": "two?", "answer": "2"},
+        ])
+        fixture = tmp_path / "blank.jsonl"
+        fixture.write_text((json.dumps(BLANK_STEP) + "\n") * 2, encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        result = CliRunner().invoke(
+            main,
+            ["bench", "--dataset", str(dataset), "--backend", "scripted",
+             "--fixture", str(fixture), "--method", method, "--out", str(report_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert "tasks with backend failures: 2" in result.output
+        records = json.loads(report_path.read_text())["records"]
+        assert [r["error"] for r in records] == ["empty step", "empty step"]
+
+
 class TestBenchCommand:
     def test_bench_scripted(self, tmp_path):
         dataset = tmp_path / "tasks.jsonl"

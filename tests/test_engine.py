@@ -286,6 +286,16 @@ class TestAbort:
         assert result.conclusion == ""
         assert result.no_conclusion
 
+    def test_whitespace_reply_aborts_the_run(self):
+        blank = make_step("", UNIFORM4)  # one space per token
+        assert blank.text and not blank.text.strip()
+        backend = ScriptedBackend([make_step("only step", UNIFORM4), blank])
+        result = run_task("q", greedy_config(max_steps=4), backend)
+        assert result.aborted
+        assert result.error == "empty step"
+        assert len(result.trace) == 1
+        assert result.total_steps == 1
+
 
 def reference_vote(conclusions, scores=None):
     """The vote as documented: the most frequent value; among the tied

@@ -16,16 +16,13 @@ from entroduction.policy import (
     MetricMode,
     PolicyConfig,
     PolicyState,
-    StopDirective,
     action_distribution,
     apply_metric_mode,
-    apply_stop,
     chain_rng,
     classify,
     decide,
     sample_action,
 )
-from entroduction.structure import Chain, ChainStatus
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -157,31 +154,6 @@ class TestSampleAction:
         assert apply_metric_mode(state, MetricMode.BOTH) == state
         assert apply_metric_mode(state, MetricMode.ENTROPY_ONLY) == PolicyState(0.5, 0.0)
         assert apply_metric_mode(state, MetricMode.VARIANCE_ONLY) == PolicyState(0.0, -0.5)
-
-
-class TestApplyStop:
-    def test_hard_stop(self):
-        chain = Chain(id=0)
-        assert apply_stop(chain, PolicyConfig(stop_k=1)) is StopDirective.TERMINATE
-        assert chain.status is ChainStatus.ACTIVE  # engine finalizes
-
-    def test_soft_stop_two(self):
-        chain = Chain(id=0)
-        assert apply_stop(chain, PolicyConfig(stop_k=2)) is StopDirective.CONTINUE
-        assert chain.status is ChainStatus.STOP_PENDING
-        assert chain.stop_remaining == 1
-
-    def test_soft_stop_three(self):
-        chain = Chain(id=0)
-        apply_stop(chain, PolicyConfig(stop_k=3))
-        assert chain.stop_remaining == 2
-
-    def test_stop_while_pending_keeps_grace(self):
-        chain = Chain(id=0)
-        apply_stop(chain, PolicyConfig(stop_k=3))
-        chain.tick_stop_grace()
-        assert apply_stop(chain, PolicyConfig(stop_k=3)) is StopDirective.CONTINUE
-        assert chain.stop_remaining == 1
 
 
 class TestPolicyConfig:

@@ -116,12 +116,17 @@ class TestExpand:
             assert left is right
 
     def test_budget_degrades_to_deepen(self):
+        # Degrading is the engine's call: at the budget the structure refuses.
         s = create_structure("q", 1)
         chain = s.chains[0]
+        chain.deepen(make_node(s, chain))
+        nodes = list(chain.nodes)
         node_a, node_b = fork_nodes(s, chain)
-        assert s.expand(chain, node_a, node_b) is None
-        assert len(s.chains) == 1
-        assert chain.nodes == [node_a]
+        with pytest.raises(ValueError, match="budget"):
+            s.expand(chain, node_a, node_b)
+        assert s.chains == [chain]
+        assert chain.nodes == nodes
+        assert chain.status is ChainStatus.ACTIVE
 
     def test_expand_empty_chain(self):
         s = create_structure("q", 4)
@@ -149,15 +154,6 @@ class TestFinalize:
         assert chain.status is ChainStatus.FINALIZED
         with pytest.raises(ValueError, match="chain finalized"):
             chain.deepen(make_node(s, chain))
-
-    def test_stop_pending_finalizes(self):
-        s = create_structure("q", 4)
-        chain = s.chains[0]
-        chain.begin_stop_grace(1)
-        assert chain.status is ChainStatus.STOP_PENDING
-        assert chain.tick_stop_grace() == 0
-        chain.finalize()
-        assert chain.finalized
 
     def test_idempotent(self):
         chain = Chain(id=0)
@@ -210,7 +206,10 @@ class TestRandomizedInvariants:
                 if op < 0.55:
                     chain.deepen(make_node(s, chain))
                 elif op < 0.85:
-                    if chain.status is ChainStatus.ACTIVE:
+                    # As the engine does: an expand at the budget is a deepen.
+                    if len(s.chains) >= max_chains:
+                        chain.deepen(make_node(s, chain))
+                    elif chain.status is ChainStatus.ACTIVE:
                         node_a, node_b = fork_nodes(s, chain)
                         s.expand(chain, node_a, node_b)
                 else:
