@@ -283,9 +283,10 @@ def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings
     click.echo(
         f"method: {report.method}  accuracy: {report.accuracy:.4f}  "
         f"mean steps/task: {report.mean_steps:.2f}  "
-        f"mean steps/chain: {report.mean_steps_per_chain:.2f}"
+        f"mean steps/chain: {report.mean_steps_per_chain:.2f}  "
+        f"mean calls/task: {report.mean_calls:.2f}"
     )
-    failures = [r for r in report.records if r.error]
+    failures = [r for r in report.records if r.error is not None]
     if failures:
         click.echo(f"tasks with backend failures: {len(failures)}", err=True)
 

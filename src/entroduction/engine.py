@@ -147,10 +147,6 @@ class RunResult:
     error: str | None = None
     conclusion_calls: int = 0
 
-    @property
-    def no_conclusion(self) -> bool:
-        return not self.conclusion
-
 
 def majority_vote(
     conclusions: Sequence[str], scores: Sequence[float] | None = None
@@ -206,11 +202,16 @@ class CallScheduler:
     threads, started in key order; a backend without it is called lazily on
     the caller's thread in key order, as in a plain loop, and so is a call
     with nothing in flight and only identical requests waiting. Identical
-    requests run one after another, so a backend that answers by (request,
-    occurrence) gives the same replies in any schedule. A reply whose text is
-    blank fails its call with ``BackendError("empty step")``, whichever
+    requests run one after another, in the key order of those waiting, so a
+    backend that answers by (request, occurrence) gives the same replies in
+    any schedule unless a request is submitted at a lower key than an
+    identical one already started. In the adaptive run that happens when two
+    chains' next requests are identical: the held one starts as soon as the
+    earlier one returns, before the engine commits that reply and submits
+    the expand sibling, the same request, at a lower key. A reply whose text
+    is blank fails its call with ``BackendError("empty step")``, whichever
     backend sent it. The earliest failing key is raised once every reply at
-    an earlier key has been returned.
+    an earlier key has been returned; ``kept`` tells the keys before it.
     ``close`` cancels calls not yet started and waits for those in flight.
     """
 
@@ -224,11 +225,12 @@ class CallScheduler:
         self._failed: tuple[Any, Exception] | None = None
         self._pool: ThreadPoolExecutor | None = None
 
-    def _kept(self, key: Any) -> bool:
+    def kept(self, key: Any) -> bool:
+        """Whether ``key`` is before every failed call's key."""
         return self._failed is None or key < self._failed[0]
 
     def submit(self, request: GenerationRequest, key: Any) -> None:
-        if self._kept(key):
+        if self.kept(key):
             insort(self._waiting, (key, request))
 
     def __iter__(self) -> Iterator[tuple[Any, StepGeneration]]:
@@ -237,7 +239,7 @@ class CallScheduler:
     def __next__(self) -> tuple[Any, StepGeneration]:
         while not self._ready:
             if not self._waiting and not any(
-                self._kept(key) for key, _ in self._running.values()
+                self.kept(key) for key, _ in self._running.values()
             ):
                 if self._failed is not None:
                     raise self._failed[1]
@@ -269,7 +271,7 @@ class CallScheduler:
             self._finish(self._running.pop(future)[0], future.result)
 
     def _finish(self, key: Any, outcome: Callable[..., StepGeneration], *args) -> None:
-        if not self._kept(key):
+        if not self.kept(key):
             return
         try:
             generation = outcome(*args)
@@ -440,7 +442,6 @@ class _Runner:
 
     def run(self) -> RunResult:
         started = time.perf_counter()
-        aborted = False
         error: str | None = None
         self.calls = CallScheduler(self.backend)
         try:
@@ -448,36 +449,27 @@ class _Runner:
             while step_index < self.config.max_steps and self.structure.unfinished_chains():
                 step_index += 1
                 self.advance_round(step_index)
-            for chain in self.structure.unfinished_chains():
-                chain.finalize()
             if self.config.elicit_final_answer:
                 self.elicit_conclusions(step_index + 1)
         except BackendError as exc:
-            aborted = True
             error = str(exc)
-            for chain in self.structure.unfinished_chains():
-                chain.finalize()
         finally:
             self.calls.close()
-
-        answered = [
-            (chain.final_answer, chain.mean_normalized_entropy())
-            for chain in self.structure.chains
-            if chain.final_answer
-        ]
-        conclusion = majority_vote(
-            [a for a, _ in answered], [s for _, s in answered]
-        )
-        return RunResult(
+        for chain in self.structure.unfinished_chains():
+            chain.finalize()
+        result = RunResult(
             structure=self.structure,
-            conclusion=conclusion,
+            conclusion="",
             trace=tuple(self.trace),
             total_steps=self.structure.nodes_allocated,
             wall_time=time.perf_counter() - started,
-            aborted=aborted,
+            aborted=error is not None,
             error=error,
             conclusion_calls=self.conclusion_calls,
         )
+        answered = chain_conclusions(result)
+        result.conclusion = majority_vote([a for _, a, _ in answered], [s for _, _, s in answered])
+        return result
 
 
 def run_task(task: str, config: RunConfig, backend: Backend) -> RunResult:
@@ -486,9 +478,10 @@ def run_task(task: str, config: RunConfig, backend: Backend) -> RunResult:
     Deterministic given (task, config, backend behavior): chain random
     streams are keyed by (seed, chain id) and chains are committed in
     ascending id order, with chains created mid-iteration first acting in
-    the next iteration. Calls made together (see ``CallScheduler``) change
-    timing, not results. A fatal backend error aborts the run and returns the
-    partial trace with ``aborted`` set; no worker thread outlives the call.
+    the next iteration. Calls made together change timing, not results,
+    except as ``CallScheduler`` states. A fatal backend error aborts the run
+    and returns the partial trace with ``aborted`` set; no worker thread
+    outlives the call.
     A blank task raises ValueError before any backend call.
     """
     return _Runner(task, config, backend).run()

@@ -6,6 +6,7 @@ self-consistency (chains, 1, steps) and a tree (1, branching, layers). Step
 accounting is exact and computed from the parameters, never hard-coded: a
 shape costs roots * sum(branching**k for k in range(layers)) nodes.
 Final-answer elicitation calls are tracked separately from reasoning steps.
+A backend failure ends the task with a partial outcome, as in ``run_task``.
 Requests and elicitation go through the engine's request helpers, so a
 ``RunConfig`` sets sampling, prompt and marker for both the adaptive method
 and these baselines. Every shape runs on one ``CallScheduler``, which sends a
@@ -19,7 +20,7 @@ import enum
 from contextlib import closing
 from dataclasses import dataclass
 
-from ..backends.base import Backend, detect_answer_marker
+from ..backends.base import Backend, BackendError, detect_answer_marker
 from ..engine import CallScheduler, RunConfig, conclusion_request, elicited_answer, request_for
 
 __all__ = [
@@ -84,11 +85,15 @@ def commonsense_params(method: BaselineMethod) -> BaselineParams:
 
 @dataclass
 class BaselineOutcome:
-    """Raw per-chain answers plus exact call accounting for one task."""
+    """Raw per-chain answers plus exact call accounting for one task.
+    ``chains`` counts the trees begun. After a backend failure, ``error`` is
+    its message and the rest covers the calls before it in serial order."""
 
     answers: list[str]
     steps_generated: int
     conclusion_calls: int
+    chains: int
+    error: str | None = None
 
 
 def run_chain_baseline(
@@ -127,30 +132,39 @@ def _run_trees(
     """One answer per leaf, in breadth-first order: the last answer stated
     on the leaf's path, else one elicitation call's. A call's key is its
     breadth-first place, (depth, path of child indices), so a serial backend
-    is called layer by layer; a leaf's elicitation sits where its first child
-    would."""
-    asked: dict[tuple, tuple] = {}  # elicitation key -> leaf key
-    answers: dict[tuple, str] = {}  # leaf key -> answer
+    is called layer by layer; a leaf's elicitation is keyed by the leaf's path
+    one layer below it."""
+    answers: dict[tuple, str] = {}  # key of the call that gave a leaf's answer -> answer
     priors = {(1, (k,)): () for k in range(roots)}  # step key -> prior steps
-    steps_generated = 0
+    replied: list[tuple] = []  # every reply's key, as replies arrive
+    error = None
     with closing(CallScheduler(backend)) as calls:
         for key in priors:
             calls.submit(request_for(config, task, ()), key)
-        for key, generation in calls:
-            if key in asked:
-                answers[asked[key]] = elicited_answer(config, generation)
-                continue
-            (depth, branch), path = key, priors.pop(key) + (generation.text,)
-            steps_generated += 1
-            if len(path) < layers:
-                for j in range(branching):
-                    calls.submit(request_for(config, task, path), (depth + 1, branch + (j,)))
-                    priors[depth + 1, branch + (j,)] = path
-                continue
-            stated = (detect_answer_marker(text, config.answer_marker) for text in reversed(path))
-            if (answer := next((a for a in stated if a is not None), None)) is None:
-                calls.submit(conclusion_request(config, task, path), (depth + 1, branch + (0,)))
-                asked[depth + 1, branch + (0,)] = key
-            else:
-                answers[key] = answer
-    return BaselineOutcome([answers[k] for k in sorted(answers)], steps_generated, len(asked))
+        try:
+            for key, generation in calls:
+                replied.append(key)
+                depth, branch = key
+                if depth > layers:
+                    answers[key] = elicited_answer(config, generation)
+                    continue
+                path = priors.pop(key) + (generation.text,)
+                if depth < layers:
+                    for j in range(branching):
+                        calls.submit(request_for(config, task, path), (depth + 1, branch + (j,)))
+                        priors[depth + 1, branch + (j,)] = path
+                    continue
+                stated = (detect_answer_marker(t, config.answer_marker) for t in reversed(path))
+                if (answer := next((a for a in stated if a is not None), None)) is None:
+                    calls.submit(conclusion_request(config, task, path), (depth + 1, branch))
+                else:
+                    answers[key] = answer
+        except BackendError as exc:
+            error = str(exc)
+    # Replies arrive in any order: count only those a serial run commits.
+    depths = [depth for depth, _ in filter(calls.kept, replied)]
+    steps = sum(1 for depth in depths if depth <= layers)
+    # By path alone, a leaf's elicitation sorts in the leaf's place.
+    kept = sorted(filter(calls.kept, answers), key=lambda key: key[1])
+    return BaselineOutcome([answers[key] for key in kept], steps, len(depths) - steps,
+                           chains=depths.count(1), error=error)

@@ -4,10 +4,11 @@ One report row per task: the method's raw per-chain answers are cleansed per
 task kind, voted into a single prediction by ``majority_vote``, and scored by
 exact string match against the gold answer. Adaptive answers carry their
 chain's mean normalized entropy as the tie-breaking score; a baseline's
-answers all score alike. A backend failure on a task, an aborted adaptive
-run included, is recorded as incorrect with an error flag and the run
-continues. Mean steps are reported both per task and per chain, since the
-two averages differ for adaptive runs.
+answers all score alike. A record's calls are its steps plus its answer
+elicitations. Every method ends a failed task alike: the record is incorrect,
+carries the backend error and counts only the work committed before the
+failing call in serial order; the benchmark continues. Mean steps are
+reported both per task and per chain, since the two differ for adaptive runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..backends.base import Backend, BackendError
+from ..backends.base import Backend
 from ..engine import RunConfig, RunResult, chain_conclusions, majority_vote, run_task
 from .baselines import BaselineParams, run_chain_baseline, run_tree_baseline
 from .cleansing import clean_answer
@@ -47,6 +48,7 @@ class TaskRecord:
     correct: bool
     steps: int
     chains: int
+    calls: int
     wall_time: float
     error: str | None = None
 
@@ -57,19 +59,12 @@ class BenchmarkReport:
     accuracy: float
     mean_steps: float
     mean_steps_per_chain: float
+    mean_calls: float
     records: list[TaskRecord] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "method": self.method,
-                "accuracy": self.accuracy,
-                "mean_steps": self.mean_steps,
-                "mean_steps_per_chain": self.mean_steps_per_chain,
-                "records": [vars(r) for r in self.records],
-            },
-            indent=2,
-        )
+        """Every field, in declaration order, each record as an object."""
+        return json.dumps({**vars(self), "records": [vars(r) for r in self.records]}, indent=2)
 
 
 def _vote_over(task: TaskInstance, answers: Sequence[tuple[str, float]]) -> str:
@@ -92,34 +87,26 @@ def _run_one(
     on_result: Callable[[TaskInstance, RunResult], None] | None,
 ) -> TaskRecord:
     started = time.perf_counter()
-    predicted, steps, chains, error = "", 0, 0, None
-    try:
-        if method is Method.ENTRODUCTION:
-            result = run_task(task.question, run_config, backend)
-            if on_result is not None:
-                on_result(task, result)
-            if result.aborted:
-                error = result.error or "run aborted"
-            else:
-                predicted = _vote_over(task, [(a, s) for _, a, s in chain_conclusions(result)])
-                steps = result.total_steps
-                chains = len(result.structure.chains)
+    if method is Method.ENTRODUCTION:
+        result = run_task(task.question, run_config, backend)
+        if on_result is not None:
+            on_result(task, result)
+        answers = [(answer, score) for _, answer, score in chain_conclusions(result)]
+        steps, chains = result.total_steps, len(result.structure.chains)
+        elicited, error = result.conclusion_calls, result.error
+    else:
+        if method is Method.TOT:
+            outcome = run_tree_baseline(task.question, params, backend, config=run_config)
         else:
-            if method is Method.TOT:
-                outcome = run_tree_baseline(
-                    task.question, params, backend, config=run_config
-                )
-            else:
-                n_chains = 1 if method is Method.COT else params.chains
-                outcome = run_chain_baseline(
-                    task.question, params, backend, n_chains=n_chains, config=run_config
-                )
-            # A baseline's answers count alike, so they share one score.
-            predicted = _vote_over(task, [(answer, 0.0) for answer in outcome.answers])
-            steps = outcome.steps_generated
-            chains = params.chains if method is Method.COT_SC else 1
-    except BackendError as exc:
-        error = str(exc)
+            n_chains = 1 if method is Method.COT else params.chains
+            outcome = run_chain_baseline(
+                task.question, params, backend, n_chains=n_chains, config=run_config
+            )
+        # A baseline's answers count alike, so they share one score.
+        answers = [(answer, 0.0) for answer in outcome.answers]
+        steps, chains = outcome.steps_generated, outcome.chains
+        elicited, error = outcome.conclusion_calls, outcome.error
+    predicted = "" if error is not None else _vote_over(task, answers)
     return TaskRecord(
         task_id=task.id,
         predicted=predicted,
@@ -127,6 +114,7 @@ def _run_one(
         correct=predicted == task.gold_answer,
         steps=steps,
         chains=chains,
+        calls=steps + elicited,
         wall_time=time.perf_counter() - started,
         error=error,
     )
@@ -145,9 +133,9 @@ def run_benchmark(
     ``on_result`` receives each adaptive run, an aborted one with its
     partial trace (for trace export).
     Within a task, independent backend calls go out together, up to the
-    backend's ``max_in_flight`` (see ``engine.CallScheduler``); results do
-    not depend on it. Tasks run one after another. A backend error ends
-    only its own task, recorded with ``error`` set.
+    backend's ``max_in_flight``; ``engine.CallScheduler`` states when the
+    results can depend on it. Tasks run one after another. A backend error
+    ends only its own task, recorded with ``error`` set.
     """
     if not tasks:
         raise ValueError("empty task list")
@@ -166,5 +154,6 @@ def run_benchmark(
         accuracy=correct / len(records),
         mean_steps=total_steps / len(records),
         mean_steps_per_chain=(total_steps / total_chains) if total_chains else 0.0,
+        mean_calls=sum(r.calls for r in records) / len(records),
         records=records,
     )

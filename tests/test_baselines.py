@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from helpers import UNIFORM4, make_step
 from test_concurrency import GATE_TIMEOUT_S, KeyedBackend, worker_threads
 from entroduction.backends import BackendError, GenerationRequest
@@ -22,8 +20,13 @@ class TestBlankReply:
             def generate_step(self, request: GenerationRequest):
                 return make_step("" if request.prior_steps else "thinking", UNIFORM4)
 
-        with pytest.raises(BackendError, match="empty step"):
-            run_tree_baseline(QUESTION, BaselineParams(branching=2, layers=3), BlankSecondLayer())
+        outcome = run_tree_baseline(
+            QUESTION, BaselineParams(branching=2, layers=3), BlankSecondLayer()
+        )
+        assert vars(outcome) == {
+            "answers": [], "steps_generated": 1, "conclusion_calls": 0, "chains": 1,
+            "error": "empty step",
+        }
         assert worker_threads() == []
 
 
@@ -49,7 +52,8 @@ class TestLeafAnswer:
             QUESTION, BaselineParams(branching=2, layers=3), InteriorAnswerBackend()
         )
         assert vars(outcome) == {
-            "answers": ["7"] * 4, "steps_generated": 7, "conclusion_calls": 0
+            "answers": ["7"] * 4, "steps_generated": 7, "conclusion_calls": 0, "chains": 1,
+            "error": None,
         }
         assert all(request.task == QUESTION for request in requests)
 

@@ -256,7 +256,9 @@ class TestBenchCommand:
              "--steps", "3"],
         )
         assert result.exit_code == 0, result.output
+        # Three steps and one answer elicitation.
         assert "mean steps/task: 3.00" in result.output
+        assert "mean calls/task: 4.00" in result.output
 
     def test_trace_out_collects_runs(self, tmp_path):
         dataset = tmp_path / "tasks.jsonl"

@@ -188,18 +188,20 @@ class TestBaselineDeterminism:
         assert concurrent_backend.peak >= 2
         assert worker_threads() == []
 
-    def test_failure_raises_the_same_error(self):
-        params = BaselineParams(branching=3, layers=3)
+    # The tree's 13 steps and 9 elicitations, each failing in turn.
+    @pytest.mark.parametrize("position", range(22))
+    def test_same_partial_outcome_in_any_schedule(self, position):
         reference = KeyedBackend(1)
-        run_tree_baseline("q", params, reference)
-        fail_on = reference.calls[6]
-        errors = []
-        for width in (1, 4):
-            with pytest.raises(BackendError) as caught:
-                run_tree_baseline("q", params, KeyedBackend(width, fail_on=fail_on))
-            errors.append(str(caught.value))
+        run_tree_baseline("q", TREE, reference)
+        fail_on = reference.calls[position]
+        serial = run_tree_baseline("q", TREE, KeyedBackend(1, fail_on=fail_on))
+        assert serial.error == f"injected failure on call {fail_on[1]}"
+        # Every call before the failing one, and only those, was committed.
+        assert serial.steps_generated + serial.conclusion_calls == position
+        for seed in range(3):
+            backend = KeyedBackend(4, fail_on=fail_on, seed=seed)
+            assert vars(run_tree_baseline("q", TREE, backend)) == vars(serial)
             assert worker_threads() == []
-        assert errors[0] == errors[1]
 
 
 class GatedBackend(KeyedBackend):
@@ -263,9 +265,7 @@ class TestTreeDataflow:
         errors = []
         for width in (1, 4):
             backend = KeyedBackend(width, fail_on=late, slow_fail_on=early)
-            with pytest.raises(BackendError) as caught:
-                run_tree_baseline("q", TREE, backend)
-            errors.append(str(caught.value))
+            errors.append(run_tree_baseline("q", TREE, backend).error)
             assert worker_threads() == []
         assert backend.failures == [late, early]
         assert errors == ["injected failure on call 2"] * 2
@@ -309,6 +309,8 @@ class TestSerialCallOrder:
             "answers": ["2", "1", "2", "3", "3", "2", "3", "2", "3"],
             "steps_generated": 13,
             "conclusion_calls": 9,
+            "chains": 1,
+            "error": None,
         }
 
     def test_chains(self):
@@ -318,7 +320,8 @@ class TestSerialCallOrder:
         )
         assert [call_label(call) for call in backend.calls] == SERIAL_COTSC_CALLS
         assert vars(outcome) == {
-            "answers": ["2", "3", "2"], "steps_generated": 9, "conclusion_calls": 3
+            "answers": ["2", "3", "2"], "steps_generated": 9, "conclusion_calls": 3,
+            "chains": 3, "error": None,
         }
 
 

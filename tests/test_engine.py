@@ -245,7 +245,6 @@ class TestAnswerMarker:
         assert len(chain.nodes) == 2
         assert result.trace[1].finalize_reason == "answer_marker"
         assert result.conclusion == "12."
-        assert not result.no_conclusion
 
     def test_marker_during_grace_period(self):
         # Stop sampled at step 3 opens a grace step; its text states an
@@ -284,7 +283,6 @@ class TestAbort:
         assert len(result.trace) == 1
         assert all(c.finalized for c in result.structure.chains)
         assert result.conclusion == ""
-        assert result.no_conclusion
 
     def test_whitespace_reply_aborts_the_run(self):
         blank = make_step("", UNIFORM4)  # one space per token

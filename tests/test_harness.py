@@ -367,6 +367,21 @@ class TestRunBenchmark:
         assert failed.error is not None
         assert report.accuracy == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("method", [Method.ENTRODUCTION, Method.TOT])
+    def test_failed_task_keeps_its_committed_work(self, method):
+        # Two scripted steps: the adaptive run fails on its third step, the
+        # tree on its second child, before any answer is elicited.
+        backend = ScriptedBackend([make_step("thinking", UNIFORM4), make_step("more", UNIFORM4)])
+        report = run_benchmark(
+            method, fixture_tasks(1), backend, run_config=RunConfig(max_steps=5),
+            params=BaselineParams(branching=2, layers=2),
+        )
+        record = report.records[0]
+        assert (record.steps, record.chains, record.calls, record.error) == (
+            2, 1, 2, "fixture exhausted after 2 steps"
+        )
+        assert (record.predicted, report.mean_steps, report.mean_calls) == ("", 2.0, 2.0)
+
     def test_aborted_run_reaches_on_result(self):
         # One scripted step for a three-step budget: the run aborts after
         # its first step, and its partial trace is still exported.
@@ -418,7 +433,7 @@ class TestRunBenchmark:
                 return super().generate_step(request)
 
         backend = RecordingBackend([SyntheticStep(logprobs=UNIFORM4, text="thinking")])
-        run_benchmark(
+        report = run_benchmark(
             method, fixture_tasks(1), backend,
             run_config=RunConfig(temperature=0.2, max_tokens=64),
             params=BaselineParams(steps=2, chains=2, branching=2, layers=2),
@@ -426,6 +441,7 @@ class TestRunBenchmark:
         steps = [r for r in requests if r.task == "question 1"]
         conclusions = [r for r in requests if r.task != "question 1"]
         assert steps and conclusions
+        assert report.records[0].calls == report.mean_calls == len(requests)
         assert {(r.temperature, r.max_tokens) for r in requests} == {(0.2, 64)}
 
     def test_choice_benchmark(self):
