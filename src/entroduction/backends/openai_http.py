@@ -96,6 +96,8 @@ class OpenAIChatBackend:
             raise ConfigurationError("model is required")
         if max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be >= 1")
+        if max_attempts < 1:
+            raise ConfigurationError("max_attempts must be >= 1")
         if not (math.isfinite(timeout) and timeout > 0):
             raise ConfigurationError(f"timeout must be finite and > 0, got {timeout}")
         if not (math.isfinite(retry_backoff) and retry_backoff >= 0):
@@ -107,7 +109,7 @@ class OpenAIChatBackend:
             self._headers["Authorization"] = f"Bearer {api_key}"
         self._stop = list(stop_sequences)
         self._timeout = timeout
-        self._max_attempts = max(1, max_attempts)
+        self._max_attempts = max_attempts
         self._retry_backoff = retry_backoff
         self._jitter = random.Random()
         self._session = session or requests.Session()

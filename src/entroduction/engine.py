@@ -26,8 +26,9 @@ on the calling thread, one request at a time). A call's key is its place in
 a serial run: ``(j, k, 0)`` for the step of the k-th unfinished chain in
 iteration j, ``(j, k, 1)`` for that chain's expand sibling, and
 ``(j + 1, k, 0)`` for the k-th elicitation after the last iteration j.
-Replies are committed in key order, with node ids allocated at commit time,
-so the trace is the one a serial run produces.
+The run takes each reply from the scheduler by its key, in key order, and
+allocates node ids as it commits them, so the trace is the one a serial run
+produces.
 
 ``request_for``, ``conclusion_request`` with ``elicited_answer``, and the
 scheduler are the one way to build a step request, to elicit a final answer
@@ -38,10 +39,10 @@ from __future__ import annotations
 
 import time
 from bisect import insort
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .backends.base import (
     Backend,
@@ -196,23 +197,24 @@ class CallScheduler:
 
     ``submit(request, key)`` queues a call at ``key``, its place in a serial
     run: any value that is distinct from and compares with the run's other
-    keys. ``next`` (or iterating) returns ``(key, generation)`` per reply,
-    on the caller's thread, as replies arrive, and stops once no call is
-    left. Up to ``backend.max_in_flight`` calls run at once on worker
-    threads, started in key order; a backend without it is called lazily on
-    the caller's thread in key order, as in a plain loop, and so is a call
-    with nothing in flight and only identical requests waiting. Identical
-    requests run one after another, in the key order of those waiting, so a
-    backend that answers by (request, occurrence) gives the same replies in
-    any schedule unless a request is submitted at a lower key than an
-    identical one already started. In the adaptive run that happens when two
-    chains' next requests are identical: the held one starts as soon as the
-    earlier one returns, before the engine commits that reply and submits
-    the expand sibling, the same request, at a lower key. A reply whose text
-    is blank fails its call with ``BackendError("empty step")``, whichever
-    backend sent it. The earliest failing key is raised once every reply at
-    an earlier key has been returned; ``kept`` tells the keys before it.
-    ``close`` cancels calls not yet started and waits for those in flight.
+    keys. ``take(key)`` returns ``(key, generation)`` for the reply at
+    ``key``, and ``take()`` (or iterating) for the first reply to arrive, on
+    the caller's thread; replies that arrive early wait here until taken, and
+    iteration stops once no call is left. Up to ``backend.max_in_flight``
+    calls run at once on worker threads, started in key order; a backend
+    without it is called lazily on the caller's thread in key order, as in a
+    plain loop. Identical requests run one at a time in key order: each waits
+    until the reply to the one before it has been taken, and then the
+    lowest-keyed one waiting starts. An expand's sibling, submitted right
+    after its step's reply is taken, thus runs before any identical request
+    at a higher key, so a backend that answers by (request, occurrence) gives
+    the same replies in any schedule. With nothing in flight and no other
+    waiting call free to start, the first waiting call is made here, so
+    taking replies out of key order never stalls. A blank reply fails its
+    call with ``BackendError("empty step")``, whichever backend sent it. The
+    earliest failing key is raised once every reply at an earlier key has
+    been returned; ``kept`` tells the keys before it. ``close`` cancels calls
+    not yet started and waits for those in flight.
     """
 
     def __init__(self, backend: Backend):
@@ -220,7 +222,7 @@ class CallScheduler:
         self._width = getattr(backend, "max_in_flight", 1)
         self._waiting: list[tuple[Any, GenerationRequest]] = []  # in key order
         self._running: dict[Future, tuple[Any, GenerationRequest]] = {}
-        self._ready: deque[tuple[Any, StepGeneration]] = deque()
+        self._ready: dict[Any, tuple[GenerationRequest, StepGeneration]] = {}  # untaken
         # The earliest failure's (key, error): calls at or after it are dropped.
         self._failed: tuple[Any, Exception] | None = None
         self._pool: ThreadPoolExecutor | None = None
@@ -236,26 +238,29 @@ class CallScheduler:
     def __iter__(self) -> Iterator[tuple[Any, StepGeneration]]:
         return self
 
-    def __next__(self) -> tuple[Any, StepGeneration]:
-        while not self._ready:
-            if not self._waiting and not any(
-                self.kept(key) for key, _ in self._running.values()
-            ):
+    def take(self, key: Any = None) -> tuple[Any, StepGeneration]:
+        """The reply at ``key``, or the first to arrive when ``key`` is None."""
+        while not self._ready or key is not None and key not in self._ready:
+            if not self._waiting and not any(self.kept(k) for k, _ in self._running.values()):
                 if self._failed is not None:
                     raise self._failed[1]
                 raise StopIteration
             self._send()
-        return self._ready.popleft()
+        if key is None:
+            key = next(iter(self._ready))
+        return key, self._ready.pop(key)[1]
+
+    __next__ = take
 
     def _send(self) -> None:
         """Make the first waiting call here if nothing could run beside it,
         else start calls not held behind an identical one and take replies."""
-        if self._waiting and (self._width <= 1 or not self._running and all(
-                request == self._waiting[0][1] for _, request in self._waiting)):
-            key, request = self._waiting.pop(0)
-            self._finish(key, self._backend.generate_step, request)
-            return
         held = {request for _, request in self._running.values()}
+        held.update(request for request, _ in self._ready.values())
+        if self._waiting and (self._width <= 1 or not self._running and (
+                {request for _, request in self._waiting} <= held | {self._waiting[0][1]})):
+            self._finish(*self._waiting.pop(0))
+            return
         waiting, self._waiting = self._waiting, []
         for key, request in waiting:
             if request in held or len(self._running) >= self._width:
@@ -268,20 +273,21 @@ class CallScheduler:
             held.add(request)
         done, _ = wait(self._running, return_when=FIRST_COMPLETED)
         for future in sorted(done, key=lambda f: self._running[f][0]):
-            self._finish(self._running.pop(future)[0], future.result)
+            self._finish(*self._running.pop(future), future)
 
-    def _finish(self, key: Any, outcome: Callable[..., StepGeneration], *args) -> None:
+    def _finish(self, key: Any, request: GenerationRequest, future: Future | None = None) -> None:
+        """Keep the reply to ``request``: ``future``'s, else one made here."""
         if not self.kept(key):
             return
         try:
-            generation = outcome(*args)
+            generation = self._backend.generate_step(request) if future is None else future.result()
             if not generation.text.strip():
                 raise BackendError("empty step")
-            self._ready.append((key, generation))
+            self._ready[key] = request, generation
         except Exception as exc:
             self._failed = key, exc
             self._waiting = [w for w in self._waiting if w[0] < key]
-            self._ready = deque(r for r in self._ready if r[0] < key)
+            self._ready = {k: r for k, r in self._ready.items() if k < key}
 
     def close(self) -> None:
         if self._pool is not None:
@@ -302,23 +308,16 @@ def elicited_answer(config: RunConfig, generation: StepGeneration) -> str:
 class _Runner:
     def __init__(self, task: str, config: RunConfig, backend: Backend):
         self.config = config
-        self.backend = backend
+        self.calls = CallScheduler(backend)
         self.structure = create_structure(task, config.max_chains)
         self.trace: list[TraceEvent] = []
         self.rngs: dict[int, ChainRng] = {}
         self.conclusion_calls = 0
-        self.replies: dict[tuple, StepGeneration] = {}
 
     def rng_for(self, chain_id: int) -> ChainRng:
         if chain_id not in self.rngs:
             self.rngs[chain_id] = chain_rng(self.config.policy.seed, chain_id)
         return self.rngs[chain_id]
-
-    def reply(self, key: tuple) -> StepGeneration:
-        """The reply at ``key``, keeping replies that arrive before it."""
-        while key not in self.replies:
-            self.replies.update([next(self.calls)])
-        return self.replies.pop(key)
 
     def make_node(self, chain: Chain, generation: StepGeneration) -> ReasoningNode:
         return ReasoningNode(
@@ -365,7 +364,7 @@ class _Runner:
         self, chain: Chain, step_index: int, k: int, request: GenerationRequest
     ) -> None:
         """Commit the reply to ``request``, at key ``(step_index, k, 0)``, as the chain's step."""
-        node = self.make_node(chain, self.reply((step_index, k, 0)))
+        node = self.make_node(chain, self.calls.take((step_index, k, 0))[1])
         answer = detect_answer_marker(node.text, self.config.answer_marker)
 
         # Soft-stop grace steps, and the first two steps (no delta pair
@@ -393,7 +392,7 @@ class _Runner:
         remaining = reason = None
         if action is Action.EXPAND:
             self.calls.submit(request, (step_index, k, 1))
-            sibling_node = self.make_node(chain, self.reply((step_index, k, 1)))
+            sibling_node = self.make_node(chain, self.calls.take((step_index, k, 1))[1])
             sibling_id = self.structure.expand(chain, node, sibling_node)
         else:
             chain.deepen(node)
@@ -436,14 +435,13 @@ class _Runner:
             request = conclusion_request(self.config, self.structure.task, chain.node_texts())
             self.calls.submit(request, (step_index, k, 0))
         for k, chain in enumerate(pending):
-            generation = self.reply((step_index, k, 0))
+            _, generation = self.calls.take((step_index, k, 0))
             self.conclusion_calls += 1
             chain.final_answer = elicited_answer(self.config, generation) or None
 
     def run(self) -> RunResult:
         started = time.perf_counter()
         error: str | None = None
-        self.calls = CallScheduler(self.backend)
         try:
             step_index = 0
             while step_index < self.config.max_steps and self.structure.unfinished_chains():
@@ -478,10 +476,9 @@ def run_task(task: str, config: RunConfig, backend: Backend) -> RunResult:
     Deterministic given (task, config, backend behavior): chain random
     streams are keyed by (seed, chain id) and chains are committed in
     ascending id order, with chains created mid-iteration first acting in
-    the next iteration. Calls made together change timing, not results,
-    except as ``CallScheduler`` states. A fatal backend error aborts the run
-    and returns the partial trace with ``aborted`` set; no worker thread
-    outlives the call.
+    the next iteration. Calls made together change timing, not results. A
+    fatal backend error aborts the run and returns the partial trace with
+    ``aborted`` set; no worker thread outlives the call.
     A blank task raises ValueError before any backend call.
     """
     return _Runner(task, config, backend).run()

@@ -133,8 +133,8 @@ def run_benchmark(
     ``on_result`` receives each adaptive run, an aborted one with its
     partial trace (for trace export).
     Within a task, independent backend calls go out together, up to the
-    backend's ``max_in_flight``; ``engine.CallScheduler`` states when the
-    results can depend on it. Tasks run one after another. A backend error
+    backend's ``max_in_flight``, which changes timing, not results (see
+    ``engine.CallScheduler``). Tasks run one after another. A backend error
     ends only its own task, recorded with ``error`` set.
     """
     if not tasks:

@@ -414,3 +414,28 @@ def test_scripted_multi_chain_round_keeps_serial_order():
     ]
     assert (result.conclusion, result.total_steps, result.conclusion_calls) == ("2", 7, 3)
     assert backend.calls_made == 10 and not result.aborted
+
+
+class PairedBackend(KeyedBackend):
+    """Occurrences 2i and 2i + 1 of a request share a step text, with token
+    logprobs set by the occurrence, so two chains can send identical
+    requests whose replies still differ."""
+
+    def reply(self, request: GenerationRequest, occurrence: int):
+        text = reply(request, occurrence // 2).text
+        return make_step(text, [t.chosen_logprob for t in reply(request, occurrence).tokens])
+
+
+# Seeds whose runs differed between widths while a held twin could start
+# before the engine took the earlier reply and submitted the expand sibling.
+@pytest.mark.parametrize("seed", [3, 142, 187])
+def test_coinciding_chains_keep_serial_replies(seed):
+    config = RunConfig(
+        max_steps=8, max_chains=6, policy=PolicyConfig(epsilon=0.9, stop_k=2, seed=seed)
+    )
+    serial = run_task("q", config, PairedBackend(1))
+    assert not serial.aborted
+    for jitter_seed in range(3):
+        concurrent = run_task("q", config, PairedBackend(4, seed=jitter_seed))
+        assert snapshot(concurrent) == snapshot(serial)
+    assert worker_threads() == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from helpers import (
     make_step,
     synthetic_schedule,
 )
-from test_concurrency import KeyedBackend, adaptive_config, worker_threads
+from test_concurrency import GATE_TIMEOUT_S, KeyedBackend, adaptive_config, reply, worker_threads
 from entroduction import engine
 from entroduction.backends import GenerationRequest, ScriptedBackend, SyntheticBackend
 from entroduction.engine import (
@@ -361,7 +362,67 @@ class TestMajorityVote:
         assert result.conclusion == "3"
 
 
+class HoldingBackend(KeyedBackend):
+    """Holds request ``held`` until the first call of ``twin`` has returned
+    and then until a further call starts, or for at most ``HOLD_S``."""
+
+    HOLD_S = 0.1
+
+    def __init__(self, held: GenerationRequest, twin: GenerationRequest):
+        super().__init__(4, jitter_s=0.0)
+        self.held, self.twin = held, twin
+        self.twin_returned = threading.Event()
+        self.started_after = threading.Event()
+
+    def generate_step(self, request: GenerationRequest):
+        if request == self.held:
+            assert self.twin_returned.wait(GATE_TIMEOUT_S)
+            self.started_after.wait(self.HOLD_S)
+        elif self.twin_returned.is_set():
+            self.started_after.set()
+        generation = super().generate_step(request)
+        if request == self.twin:
+            self.twin_returned.set()
+        return generation
+
+
 class TestCallScheduler:
+    def test_identical_requests_answered_in_key_order(self):
+        # R at key 3 must not start while R's reply at key 1 waits, untaken,
+        # behind key 0: R submitted at key 2 after key 1 is taken comes first.
+        x, r = (GenerationRequest(system_prompt="s", task=task) for task in "xr")
+        backend = HoldingBackend(held=x, twin=r)
+        calls = CallScheduler(backend)
+        for key, request in [(0, x), (1, r), (3, r)]:
+            calls.submit(request, key)
+        try:
+            assert calls.take(0) == (0, reply(x, 0))
+            assert calls.take(1) == (1, reply(r, 0))
+            calls.submit(r, 2)
+            assert calls.take(2) == (2, reply(r, 1))
+            assert calls.take(3) == (3, reply(r, 2))
+            assert list(calls) == []
+        finally:
+            calls.close()
+        assert worker_threads() == []
+
+    def test_taking_out_of_key_order_finishes(self):
+        # Once R and S at keys 0 and 1 wait untaken, every waiting call is
+        # held behind one of them: the first waiting call then runs here.
+        r, s = (GenerationRequest(system_prompt="s", task=task) for task in "rs")
+        calls = CallScheduler(KeyedBackend(2, jitter_s=0.0))
+        for key, request in enumerate([r, s, r, s]):
+            calls.submit(request, key)
+        taken = []
+        worker = threading.Thread(
+            target=lambda: taken.extend(calls.take(key) for key in (3, 0, 1, 2)), daemon=True)
+        worker.start()
+        worker.join(GATE_TIMEOUT_S)
+        calls.close()
+        assert not worker.is_alive()
+        assert taken == [(3, reply(s, 1)), (0, reply(r, 0)), (1, reply(s, 0)), (2, reply(r, 1))]
+        assert worker_threads() == []
+
     def test_serial_backend_is_called_in_key_order(self):
         backend = KeyedBackend(1, jitter_s=0.0)
         calls = CallScheduler(backend)

@@ -562,6 +562,11 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="max_in_flight"):
             OpenAIChatBackend(endpoint="http://h/v1", model="m", max_in_flight=0)
 
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_max_attempts_below_one_rejected(self, max_attempts):
+        with pytest.raises(ConfigurationError, match="max_attempts"):
+            OpenAIChatBackend(endpoint="http://h/v1", model="m", max_attempts=max_attempts)
+
     @pytest.mark.parametrize("setting", [
         {"timeout": 0}, {"timeout": -1}, {"timeout": float("nan")}, {"timeout": float("inf")},
         {"retry_backoff": -1}, {"retry_backoff": float("nan")},
