@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from ..metrics import TokenRecord
 
@@ -48,6 +48,8 @@ class ConfigurationError(BackendError):
 
 
 class FinishReason(enum.Enum):
+    """How the source ended a step; backends set no ANSWER_MARKER, older fixtures carry it."""
+
     STOP_SEQUENCE = "stop_sequence"
     LENGTH = "length"
     ANSWER_MARKER = "answer_marker"
@@ -97,7 +99,6 @@ class StepGeneration:
                 raise ValueError("token texts must concatenate to the step text")
 
 
-@runtime_checkable
 class Backend(Protocol):
     """Anything with ``generate_step``.
 

@@ -17,7 +17,6 @@ import os
 import random
 import threading
 import time
-from typing import Sequence
 
 import requests
 
@@ -29,7 +28,6 @@ from .base import (
     GenerationRequest,
     StepGeneration,
     TransportError,
-    detect_answer_marker,
     json_logprob,
     render_step_prompt,
 )
@@ -41,7 +39,7 @@ API_KEY_ENV = "ENTRODUCTION_API_KEY"
 FALLBACK_ENDPOINT_ENV = "OPENAI_BASE_URL"
 FALLBACK_API_KEY_ENV = "OPENAI_API_KEY"
 
-DEFAULT_STOP_SEQUENCES = ("\n",)
+STOP_SEQUENCES = ("\n",)  # a step is one line
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_MAX_IN_FLIGHT = 4
@@ -83,7 +81,6 @@ class OpenAIChatBackend:
         endpoint: str,
         model: str,
         api_key: str | None = None,
-        stop_sequences: Sequence[str] = DEFAULT_STOP_SEQUENCES,
         timeout: float = DEFAULT_TIMEOUT,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
@@ -107,7 +104,6 @@ class OpenAIChatBackend:
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
-        self._stop = list(stop_sequences)
         self._timeout = timeout
         self._max_attempts = max_attempts
         self._retry_backoff = retry_backoff
@@ -161,7 +157,7 @@ class OpenAIChatBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
             "logprobs": True,
-            "stop": list(self._stop),
+            "stop": list(STOP_SEQUENCES),
         }
 
     def _post(self, payload: dict) -> dict:
@@ -236,10 +232,9 @@ class OpenAIChatBackend:
         # The token texts are authoritative: stop-sequence trimming can make
         # message.content disagree with the logprob stream.
         text = "".join(t.text for t in tokens)
-        if detect_answer_marker(text):
-            finish = FinishReason.ANSWER_MARKER
-        elif choice.get("finish_reason") == "length":
-            finish = FinishReason.LENGTH
-        else:
-            finish = FinishReason.STOP_SEQUENCE
+        finish = (
+            FinishReason.LENGTH
+            if choice.get("finish_reason") == "length"
+            else FinishReason.STOP_SEQUENCE
+        )
         return StepGeneration(text=text, tokens=tokens, finish_reason=finish)

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..metrics import TokenRecord, _entropy_terms
-from .base import (
-    DEFAULT_ANSWER_MARKER,
-    FinishReason,
-    GenerationRequest,
-    StepGeneration,
-    detect_answer_marker,
-)
+from .base import FinishReason, GenerationRequest, StepGeneration
 
 __all__ = ["SyntheticStep", "SyntheticBackend", "logits_for_normalized_entropy"]
 
@@ -188,11 +182,8 @@ class SyntheticBackend:
             shared = {piece: TokenRecord(piece, rest) for piece in dict.fromkeys(pieces[1:])}
             head = shared.get(pieces[0]) if first == rest else None
             tokens = (head or TokenRecord(pieces[0], first), *map(shared.__getitem__, pieces[1:]))
-        finish = (
-            FinishReason.ANSWER_MARKER
-            if detect_answer_marker(text, DEFAULT_ANSWER_MARKER)
-            else FinishReason.STOP_SEQUENCE
-        )
         # Racing builds of an index are equal; every caller gets the first stored.
-        step = StepGeneration(text="".join(pieces), tokens=tokens, finish_reason=finish)
+        step = StepGeneration(
+            text="".join(pieces), tokens=tokens, finish_reason=FinishReason.STOP_SEQUENCE
+        )
         return self._steps.setdefault(index, step)

@@ -28,7 +28,10 @@ iteration j, ``(j, k, 1)`` for that chain's expand sibling, and
 ``(j + 1, k, 0)`` for the k-th elicitation after the last iteration j.
 The run takes each reply from the scheduler by its key, in key order, and
 allocates node ids as it commits them, so the trace is the one a serial run
-produces.
+produces. Each reply object is measured, and read for an answer under
+``config.answer_marker``, once per run: a backend that returns one object to
+several calls (the synthetic backend, to every chain at a depth and to an
+expand's sibling) gets one reading, reused by every node built from it.
 
 ``request_for``, ``conclusion_request`` with ``elicited_answer``, and the
 scheduler are the one way to build a step request, to elicit a final answer
@@ -313,20 +316,34 @@ class _Runner:
         self.trace: list[TraceEvent] = []
         self.rngs: dict[int, ChainRng] = {}
         self.conclusion_calls = 0
+        # One reading per reply object: the reply (so its id is not reused),
+        # its metrics and the answer it states.
+        self.readings: dict[int, tuple[StepGeneration, StepMetrics, str | None]] = {}
 
     def rng_for(self, chain_id: int) -> ChainRng:
         if chain_id not in self.rngs:
             self.rngs[chain_id] = chain_rng(self.config.policy.seed, chain_id)
         return self.rngs[chain_id]
 
-    def make_node(self, chain: Chain, generation: StepGeneration) -> ReasoningNode:
-        return ReasoningNode(
+    def make_node(self, chain: Chain, key: tuple) -> tuple[ReasoningNode, str | None]:
+        """A node for ``chain`` from the reply at ``key``, and the answer it
+        states; a reply object is measured and read the first time only."""
+        _, generation = self.calls.take(key)
+        reading = self.readings.get(id(generation))
+        if reading is None:
+            reading = self.readings[id(generation)] = (
+                generation,
+                compute_step_metrics(generation.tokens),
+                detect_answer_marker(generation.text, self.config.answer_marker),
+            )
+        node = ReasoningNode(
             id=self.structure.allocate_node_id(),
             step_index=len(chain.nodes) + 1,
             text=generation.text,
             tokens=generation.tokens,
-            metrics=compute_step_metrics(generation.tokens),
+            metrics=reading[1],
         )
+        return node, reading[2]
 
     def record(
         self,
@@ -364,8 +381,7 @@ class _Runner:
         self, chain: Chain, step_index: int, k: int, request: GenerationRequest
     ) -> None:
         """Commit the reply to ``request``, at key ``(step_index, k, 0)``, as the chain's step."""
-        node = self.make_node(chain, self.calls.take((step_index, k, 0))[1])
-        answer = detect_answer_marker(node.text, self.config.answer_marker)
+        node, answer = self.make_node(chain, (step_index, k, 0))
 
         # Soft-stop grace steps, and the first two steps (no delta pair
         # exists yet), are unconditional deepens.
@@ -392,7 +408,7 @@ class _Runner:
         remaining = reason = None
         if action is Action.EXPAND:
             self.calls.submit(request, (step_index, k, 1))
-            sibling_node = self.make_node(chain, self.calls.take((step_index, k, 1))[1])
+            sibling_node, sibling_answer = self.make_node(chain, (step_index, k, 1))
             sibling_id = self.structure.expand(chain, node, sibling_node)
         else:
             chain.deepen(node)
@@ -409,7 +425,6 @@ class _Runner:
             chain.stop_remaining = remaining = self.config.policy.stop_k - 1
         self.record(chain, node, answer, step_index, executed, state, decision, remaining, reason)
         if action is Action.EXPAND:
-            sibling_answer = detect_answer_marker(sibling_node.text, self.config.answer_marker)
             self.record(self.structure.chains[sibling_id], sibling_node, sibling_answer,
                         step_index, ExecutedBehavior.EXPAND)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -10,11 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    A15,
     A30,
     A60,
     DEEPEN_SCHEDULE,
     DEEPEN_UP_SCHEDULE,
     EXPAND_SCHEDULE,
+    P11,
+    P22,
+    P33,
     STOP_SCHEDULE,
     UNIFORM4,
     make_step,
@@ -22,7 +27,13 @@ from helpers import (
 )
 from test_concurrency import GATE_TIMEOUT_S, KeyedBackend, adaptive_config, reply, worker_threads
 from entroduction import engine
-from entroduction.backends import GenerationRequest, ScriptedBackend, SyntheticBackend
+from entroduction.backends import (
+    FinishReason,
+    GenerationRequest,
+    ScriptedBackend,
+    SyntheticBackend,
+    SyntheticStep,
+)
 from entroduction.engine import (
     CallScheduler,
     ExecutedBehavior,
@@ -273,6 +284,64 @@ class TestAnswerMarker:
         assert result.conclusion == "99"
         assert result.conclusion_calls == 1
         assert result.total_steps == 2  # the elicitation does not count
+
+    def test_configured_marker_alone_states_answers(self):
+        backend = SyntheticBackend([
+            SyntheticStep(logprobs=UNIFORM4, text="think it through"),
+            SyntheticStep(logprobs=A30, text="the answer is 3, so Final: 4"),
+        ])
+        result = run_task("q", greedy_config(max_steps=6, answer_marker="Final:"), backend)
+        chain = result.structure.chains[0]
+        assert chain.final_answer == "4"
+        assert result.trace[1].finalize_reason == "answer_marker"
+        # The backend labels how the step ended, not an answer under some other marker.
+        step = backend.generate_step(GenerationRequest("", "q", ("think it through",)))
+        assert step.finish_reason is FinishReason.STOP_SEQUENCE
+
+
+class FreshCopies:
+    """``backend``'s replies, each call answered by a new equal object."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def generate_step(self, request: GenerationRequest):
+        return dataclasses.replace(self.backend.generate_step(request))
+
+
+class TestReadOnce:
+    def test_each_reply_object_is_measured_once_per_run(self, monkeypatch):
+        measured = []
+
+        def counted(tokens, _measure=engine.compute_step_metrics):
+            measured.append(1)
+            return _measure(tokens)
+
+        monkeypatch.setattr(engine, "compute_step_metrics", counted)
+        rows = [UNIFORM4, A30, P22, A15, P11, A60, P33, UNIFORM4]
+        policy = PolicyConfig(epsilon=0.9, stop_k=2, seed=3)
+        config = RunConfig(max_steps=8, max_chains=16, policy=policy)
+
+        def one_run(backend):
+            measured.clear()
+            result = run_task("q", config, backend)
+            nodes = [node for chain in result.structure.chains for node in chain.nodes]
+            return result, len(measured), nodes
+
+        shared, shared_measured, nodes = one_run(SyntheticBackend(synthetic_schedule(rows)))
+        fresh, fresh_measured, _ = one_run(FreshCopies(SyntheticBackend(synthetic_schedule(rows))))
+        # The synthetic backend returns one object per depth, to every chain and sibling.
+        assert len(shared.structure.chains) > 1
+        assert shared_measured == len({node.step_index for node in nodes}) < shared.total_steps
+        assert fresh_measured == fresh.total_steps
+        assert [trace_event_to_dict(e) for e in shared.trace] == [
+            trace_event_to_dict(e) for e in fresh.trace
+        ]
+        assert [[n.id for n in c.nodes] for c in shared.structure.chains] == [
+            [n.id for n in c.nodes] for c in fresh.structure.chains
+        ]
+        assert shared.conclusion == fresh.conclusion
+        assert shared.conclusion_calls == fresh.conclusion_calls > 0
 
 
 class TestAbort:
