@@ -17,6 +17,7 @@ import threading
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ..inputs import parse_json, read_lines
 from ..metrics import TokenRecord
 from .base import (
     BackendError, ConfigurationError, FinishReason, GenerationRequest, StepGeneration, json_logprob,
@@ -48,18 +49,10 @@ def step_to_json(step: StepGeneration) -> dict:
 
 
 def load_fixture(path: str | Path) -> list[StepGeneration]:
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read fixture {path}: {exc}") from exc
     steps = []
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_number, line in read_lines(path, ConfigurationError, "fixture"):
         try:
-            steps.append(step_from_json(json.loads(line)))
+            steps.append(step_from_json(parse_json(line)))
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise BackendError(f"bad fixture line {line_number}: {exc}") from exc
     return steps
@@ -91,10 +84,6 @@ class ScriptedBackend:
     @property
     def calls_made(self) -> int:
         return self._position
-
-    def reset(self) -> None:
-        with self._lock:
-            self._position = 0
 
     def generate_step(self, request: GenerationRequest) -> StepGeneration:
         with self._lock:

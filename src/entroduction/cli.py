@@ -16,7 +16,6 @@ import json
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields, replace
-from pathlib import Path
 
 import click
 
@@ -43,6 +42,7 @@ from .harness import (
     run_benchmark,
     summarize_trace,
 )
+from .inputs import read_lines
 from .policy import MetricMode, PolicyConfig
 
 EXIT_CONFIG = 1
@@ -58,13 +58,8 @@ def read_config_file(path: str | None, names: set[str]) -> dict[str, str]:
     if path is None:
         return {}
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for line_number, line in read_lines(path, ConfigurationError, "config file"):
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigurationError(f"{path}:{line_number}: expected key=value")

@@ -340,7 +340,6 @@ class _Runner:
             id=self.structure.allocate_node_id(),
             step_index=len(chain.nodes) + 1,
             text=generation.text,
-            tokens=generation.tokens,
             metrics=reading[1],
         )
         return node, reading[2]

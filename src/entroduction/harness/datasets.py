@@ -8,11 +8,12 @@ embed the gold answer after a ``####`` marker are unwrapped on load.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..inputs import parse_json, read_lines
 
 __all__ = ["TaskKind", "TaskInstance", "DatasetError", "load_dataset", "extract_gold_answer"]
 
@@ -86,19 +87,10 @@ def load_dataset(
 ) -> list[TaskInstance]:
     """Load a JSONL dataset; malformed lines are skipped with a warning, or
     rejected outright in strict mode. Zero valid rows is always an error."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-
     tasks: list[TaskInstance] = []
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_number, line in read_lines(path, DatasetError, "dataset"):
         try:
-            tasks.append(_parse_row(json.loads(line), task_kind))
+            tasks.append(_parse_row(parse_json(line), task_kind))
         except (ValueError, TypeError, KeyError) as exc:
             message = f"{path}:{line_number}: skipping malformed row: {exc}"
             if strict:

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from ..engine import RunResult, TraceEvent
+from ..inputs import parse_json, read_lines
 from .datasets import DatasetError
 
 __all__ = [
@@ -48,21 +49,10 @@ def trace_event_to_dict(event: TraceEvent, task_id: str = "") -> dict:
     }
 
 
-def _open_sink(sink: str | Path | IO[str]) -> tuple[IO[str], bool]:
-    if isinstance(sink, (str, Path)):
-        return open(sink, "w", encoding="utf-8"), True
-    return sink, False
-
-
-def export_trace(result: RunResult, sink: str | Path | IO[str], task_id: str = "") -> None:
-    """Write one JSONL line per trace event to a path or open file."""
-    handle, owned = _open_sink(sink)
-    try:
-        for event in result.trace:
-            handle.write(json.dumps(trace_event_to_dict(event, task_id)) + "\n")
-    finally:
-        if owned:
-            handle.close()
+def export_trace(result: RunResult, sink: IO[str], task_id: str = "") -> None:
+    """Write one JSONL line per trace event to the open text file ``sink``."""
+    for event in result.trace:
+        sink.write(json.dumps(trace_event_to_dict(event, task_id)) + "\n")
 
 
 # The fields summarize_trace reads from every row, with the type each must have.
@@ -73,20 +63,10 @@ def read_trace(source: str | Path | IO[str]) -> list[dict]:
     """The rows of a JSONL trace. A file that cannot be read or decoded, or a
     line that is not a JSON object holding every ``SUMMARY_FIELDS`` key with
     a value of its type, raises ``DatasetError``."""
-    try:
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8-sig")
-        else:
-            text = source.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read {source}: {exc}") from exc
     rows = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_number, line in read_lines(source, DatasetError, "trace"):
         try:
-            row = json.loads(line)
+            row = parse_json(line)
             if not isinstance(row, dict):
                 raise ValueError(f"expected a JSON object, got {type(row).__name__}")
             if missing := [key for key in SUMMARY_FIELDS if key not in row]:
@@ -100,31 +80,27 @@ def read_trace(source: str | Path | IO[str]) -> list[dict]:
     return rows
 
 
-def export_chain_summary(result: RunResult, sink: str | Path | IO[str]) -> None:
-    """Per-chain CSV: length, lifecycle outcome, lineage, answer, confidence."""
-    handle, owned = _open_sink(sink)
-    try:
-        writer = csv.writer(handle)
+def export_chain_summary(result: RunResult, sink: IO[str]) -> None:
+    """Write a per-chain CSV to the open text file ``sink``: length, lifecycle
+    outcome, lineage, answer, confidence."""
+    writer = csv.writer(sink)
+    writer.writerow(
+        ["chain_id", "length", "status", "parent_chain", "shared_prefix",
+         "final_answer", "mean_norm_entropy"]
+    )
+    for chain in result.structure.chains:
+        parent_chain, shared = ("", "") if chain.parent is None else chain.parent
         writer.writerow(
-            ["chain_id", "length", "status", "parent_chain", "shared_prefix",
-             "final_answer", "mean_norm_entropy"]
+            [
+                chain.id,
+                len(chain.nodes),
+                chain.status.value,
+                parent_chain,
+                shared,
+                chain.final_answer or "",
+                f"{chain.mean_normalized_entropy():.12g}",
+            ]
         )
-        for chain in result.structure.chains:
-            parent_chain, shared = ("", "") if chain.parent is None else chain.parent
-            writer.writerow(
-                [
-                    chain.id,
-                    len(chain.nodes),
-                    chain.status.value,
-                    parent_chain,
-                    shared,
-                    chain.final_answer or "",
-                    f"{chain.mean_normalized_entropy():.12g}",
-                ]
-            )
-    finally:
-        if owned:
-            handle.close()
 
 
 def summarize_trace(rows: Iterable[dict]) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .metrics import StepMetrics, TokenRecord
+from .metrics import StepMetrics
 
 __all__ = [
     "ChainStatus",
@@ -36,21 +36,13 @@ class ReasoningNode:
     id: int
     step_index: int
     text: str
-    tokens: tuple[TokenRecord, ...]
     metrics: StepMetrics
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
         if self.step_index < 1:
             raise ValueError("step_index must be >= 1")
         if not self.text:
             raise ValueError("node text must be non-empty")
-        if not self.tokens:
-            raise ValueError("node tokens must be non-empty")
-        if self.metrics.n != len(self.tokens):
-            raise ValueError(
-                f"metrics.n={self.metrics.n} does not match {len(self.tokens)} tokens"
-            )
 
 
 @dataclass

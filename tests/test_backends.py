@@ -251,6 +251,7 @@ class TestScriptedBackend:
         ("x", "x", True, "logprob must be a number"),
         ("x", "x", False, "logprob must be a number"),
         ("x", "x", "-0.1", "logprob must be a number"),
+        ("x", "x", float("nan"), "NaN is not standard JSON"),
         (None, "None", -0.1, "step text must be a string"),
         (7, "7", -0.1, "step text must be a string"),
     ])
@@ -271,13 +272,6 @@ class TestScriptedBackend:
         path.write_text(json.dumps(line) + "\n", encoding="utf-8")
         with pytest.raises(BackendError, match="bad fixture line 1"):
             load_fixture(path)
-
-    def test_reset(self):
-        steps = [make_step("s1", UNIFORM4), make_step("s2", UNIFORM4)]
-        backend = ScriptedBackend(steps)
-        backend.generate_step(request())
-        backend.reset()
-        assert backend.generate_step(request()) == steps[0]
 
 
 class TestSyntheticBackend:

@@ -509,6 +509,14 @@ class TestTraceCommand:
         assert result.exit_code == 0, result.output
         assert "events: 3" in result.output
 
+    def test_line_separator_inside_a_string(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        row = {"task_id": "a\u2028b", "chain_id": 0, "executed": "deepen", "entropy": 1.5, "j": 1}
+        trace.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["trace", str(trace)])
+        assert result.exit_code == 0, result.output
+        assert "events: 1" in result.output
+
     def test_missing_trace(self, tmp_path):
         result = CliRunner().invoke(main, ["trace", str(tmp_path / "none.jsonl")])
         assert result.exit_code == 3
@@ -556,6 +564,8 @@ class TestUnreadableInputs:
              "bad trace line 2: fields of the wrong type: chain_id, j"),
             ('{"chain_id": 0, "executed": null, "entropy": true, "j": 1}',
              "bad trace line 2: fields of the wrong type: executed, entropy"),
+            ('{"chain_id": 0, "executed": "deepen", "entropy": NaN, "j": 1}',
+             "bad trace line 2: NaN is not standard JSON"),
         ],
     )
     def test_bad_trace_line(self, tmp_path, bad, message):

@@ -17,26 +17,23 @@ from entroduction.structure import (
 
 
 def make_node(structure, chain, text="a step") -> ReasoningNode:
-    records = make_records(UNIFORM4)
     return ReasoningNode(
         id=structure.allocate_node_id(),
         step_index=len(chain.nodes) + 1,
         text=text,
-        tokens=records,
-        metrics=compute_step_metrics(records),
+        metrics=compute_step_metrics(make_records(UNIFORM4)),
     )
 
 
 def fork_nodes(structure, chain):
-    records = make_records(UNIFORM4)
+    metrics = compute_step_metrics(make_records(UNIFORM4))
     step = len(chain.nodes) + 1
     return tuple(
         ReasoningNode(
             id=structure.allocate_node_id(),
             step_index=step,
             text=f"branch {side}",
-            tokens=records,
-            metrics=compute_step_metrics(records),
+            metrics=metrics,
         )
         for side in ("a", "b")
     )
