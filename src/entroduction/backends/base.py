@@ -114,13 +114,19 @@ class Backend(Protocol):
         ...
 
 
+LOGPROB_ROUNDING = 1e-6  # a few float32 ulps of log 1: a positive logprob this small is rounding
+
+
 def json_logprob(value: object) -> float:
-    """A logprob read from JSON, a finite number and not a boolean, as a float."""
+    """A logprob read from JSON, a finite number and not a boolean, as a float;
+    a positive value up to ``LOGPROB_ROUNDING`` reads as 0.0, a larger one fails."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"logprob must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"non-finite logprob {value}")
-    return float(value)
+    if value > LOGPROB_ROUNDING:
+        raise ValueError(f"logprob must be <= 0, got {value}")
+    return min(float(value), 0.0)
 
 
 @functools.cache

@@ -203,14 +203,13 @@ class OpenAIChatBackend:
     @staticmethod
     def _parse_tokens(content: list) -> tuple[TokenRecord, ...]:
         """Token records from a logprobs payload's ``token`` and ``logprob``
-        fields, with tiny positive logprobs (rounding) clamped to 0; any
-        ``top_logprobs`` alternatives are ignored. A text that is not a
-        string, or a logprob that is missing, not a number, non-finite or
-        float-overflowing, is a BackendError."""
+        fields, each logprob read by ``json_logprob``; any ``top_logprobs``
+        alternatives are ignored. A text that is not a string, or a logprob
+        that is missing, not a number, non-finite, float-overflowing or
+        positive beyond rounding, is a BackendError."""
         try:
             return tuple(
-                TokenRecord(item["token"], min(0.0, json_logprob(item["logprob"])))
-                for item in content
+                TokenRecord(item["token"], json_logprob(item["logprob"])) for item in content
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BackendError(f"malformed logprob entry: {exc!r}") from exc

@@ -5,9 +5,10 @@ Fixtures are JSONL, one step per line:
     {"text": "...", "finish_reason": "stop_sequence",
      "tokens": [{"text": "...", "logprob": -0.3}, ...]}
 
-Texts must be strings and logprobs numbers. A token's ``top`` key, written by
-older versions, is ignored. Playback is strictly in file order and
-mutation-free, so two runs over the same fixture are identical.
+Texts must be strings; logprobs are read by ``json_logprob``, so one of
+rounding size above 0 reads as 0. A token's ``top`` key, written by older
+versions, is ignored. Playback is strictly in file order and mutation-free,
+so two runs over the same fixture are identical.
 """
 
 from __future__ import annotations

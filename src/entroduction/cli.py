@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import click
 
@@ -28,7 +28,6 @@ from .backends import (
 )
 from .engine import RunConfig, run_task
 from .harness import (
-    BaselineMethod,
     BaselineParams,
     DatasetError,
     Method,
@@ -37,7 +36,6 @@ from .harness import (
     export_trace,
     format_summary,
     load_dataset,
-    math_params,
     read_trace,
     run_benchmark,
     summarize_trace,
@@ -48,8 +46,6 @@ from .policy import MetricMode, PolicyConfig
 EXIT_CONFIG = 1
 EXIT_BACKEND = 2
 EXIT_DATASET = 3
-
-BASELINE_DEFAULTS = math_params(BaselineMethod.COT_SC)
 
 
 def read_config_file(path: str | None, names: set[str]) -> dict[str, str]:
@@ -249,13 +245,13 @@ def run_command(task, out, summary_out, **settings) -> None:
 @_enum_option("--method", enum_type=Method, default=Method.ENTRODUCTION.value,
               show_default=True, help="Method to score.")
 @click.option("--steps", type=int,
-              help=f"Baseline chain length (default {BASELINE_DEFAULTS.steps}).")
+              help=f"Baseline chain length (default {BaselineParams.steps}).")
 @click.option("--chains", type=int,
-              help=f"Baseline chain count (default {BASELINE_DEFAULTS.chains}).")
+              help=f"Baseline chain count (default {BaselineParams.chains}).")
 @click.option("--branching", type=int,
-              help=f"Tree branching factor (default {BASELINE_DEFAULTS.branching}).")
+              help=f"Tree branching factor (default {BaselineParams.branching}).")
 @click.option("--layers", type=int,
-              help=f"Tree layer count (default {BASELINE_DEFAULTS.layers}).")
+              help=f"Tree layer count (default {BaselineParams.layers}).")
 @click.option("--strict", is_flag=True, default=False, help="Reject malformed dataset rows.")
 @click.option("--out", default=None, help="Write the report JSON here.")
 @click.option("--trace-out", default=None, help="Write all run traces (JSONL) here.")
@@ -263,7 +259,7 @@ def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings
     """Score a method over a JSONL dataset."""
     backend = build_backend(settings)
     run_config = build_run_config(settings)
-    params = _build(replace, BASELINE_DEFAULTS, **_given(settings, BaselineParams))
+    params = _build(BaselineParams, **_given(settings, BaselineParams))
     tasks = load_dataset(dataset, task_kind, strict=strict)
     with _open_output(out) as report_sink, _open_output(trace_out) as sink:
         def on_result(task, result):

@@ -4,13 +4,14 @@ from .baselines import (
     BaselineMethod,
     BaselineOutcome,
     BaselineParams,
+    Method,
     baseline_step_count,
     commonsense_params,
     math_params,
     run_chain_baseline,
     run_tree_baseline,
 )
-from .benchmark import BenchmarkReport, Method, TaskRecord, run_benchmark
+from .benchmark import BenchmarkReport, TaskRecord, run_benchmark
 from .cleansing import (
     Position,
     clean_answer,

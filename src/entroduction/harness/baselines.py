@@ -1,4 +1,5 @@
-"""Fixed-shape baseline runners: plain chains, self-consistency, and trees.
+"""Fixed-shape baseline runners: plain chains, self-consistency, and trees,
+and ``Method``, every scored method (``BaselineMethod`` is the same enum).
 
 Each shape is ``roots`` trees with ``branching`` children per node over
 ``layers`` levels (root level included): a plain chain is (1, 1, steps),
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 import enum
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..backends.base import Backend, BackendError, detect_answer_marker
 from ..engine import CallScheduler, RunConfig, conclusion_request, elicited_answer, request_for
 
 __all__ = [
+    "Method",
     "BaselineMethod",
     "BaselineParams",
     "baseline_step_count",
@@ -35,18 +37,22 @@ __all__ = [
 ]
 
 
-class BaselineMethod(enum.Enum):
+class Method(enum.Enum):
+    ENTRODUCTION = "entroduction"
     COT = "cot"
     COT_SC = "cotsc"
     TOT = "tot"
 
 
+BaselineMethod = Method
+
+
 @dataclass(frozen=True)
 class BaselineParams:
-    """Shape parameters for the fixed baselines."""
+    """Baseline shape. The defaults, the math shape, serve library and CLI alike."""
 
     steps: int = 8
-    chains: int = 1
+    chains: int = 3
     branching: int = 3
     layers: int = 5
 
@@ -55,32 +61,25 @@ class BaselineParams:
             raise ValueError("baseline parameters must be >= 1")
 
 
-def baseline_step_count(method: BaselineMethod, params: BaselineParams) -> int:
+def baseline_step_count(method: Method, params: BaselineParams) -> int:
     """Exact per-task reasoning-step cost of a baseline configuration."""
-    if method is BaselineMethod.COT:
+    if method is Method.COT:
         return params.steps
-    if method is BaselineMethod.COT_SC:
+    if method is Method.COT_SC:
         return params.chains * params.steps
-    return sum(params.branching**k for k in range(params.layers))
+    if method is Method.TOT:
+        return sum(params.branching**k for k in range(params.layers))
+    raise ValueError(f"{method.value} has no fixed step count")
 
 
-def math_params(method: BaselineMethod) -> BaselineParams:
-    """Standard math-task configuration: 8-step chains, 3-chain consistency,
-    ternary tree of 5 levels."""
-    if method is BaselineMethod.COT:
-        return BaselineParams(steps=8, chains=1)
-    if method is BaselineMethod.COT_SC:
-        return BaselineParams(steps=8, chains=3)
-    return BaselineParams(branching=3, layers=5)
+def math_params(method: Method) -> BaselineParams:
+    """Standard math-task shape: the default, with one chain for CoT."""
+    return BaselineParams(chains=1) if method is Method.COT else BaselineParams()
 
 
-def commonsense_params(method: BaselineMethod) -> BaselineParams:
-    """Standard commonsense configuration: 5-step chains, otherwise as math."""
-    if method is BaselineMethod.COT:
-        return BaselineParams(steps=5, chains=1)
-    if method is BaselineMethod.COT_SC:
-        return BaselineParams(steps=5, chains=3)
-    return BaselineParams(branching=3, layers=5)
+def commonsense_params(method: Method) -> BaselineParams:
+    """Standard commonsense shape: 5-step chains, otherwise as math."""
+    return replace(math_params(method), steps=5)
 
 
 @dataclass
@@ -106,10 +105,12 @@ def run_chain_baseline(
 ) -> BaselineOutcome:
     """Fixed-length chains: ``n_chains`` (default ``params.chains``) chains
     of exactly ``params.steps`` nodes each, with no early stopping, so
-    accounting stays exact; one answer per chain. ``config`` supplies the
-    sampling settings, system prompt and answer marker."""
-    chains = n_chains if n_chains is not None else params.chains
-    return _run_trees(task, chains, 1, params.steps, backend, config)
+    accounting stays exact; one answer per chain; fewer than one chain is a
+    ValueError. ``config`` supplies the sampling settings, system prompt and
+    answer marker."""
+    if n_chains is not None:
+        params = replace(params, chains=n_chains)
+    return _run_trees(task, params.chains, 1, params.steps, backend, config)
 
 
 def run_tree_baseline(
@@ -133,13 +134,13 @@ def _run_trees(
     on the leaf's path, else one elicitation call's. A call's key is its
     breadth-first place, (depth, path of child indices), so a serial backend
     is called layer by layer; a leaf's elicitation is keyed by the leaf's path
-    one layer below it."""
+    one layer below it. Each step reply is read for an answer once."""
     answers: dict[tuple, str] = {}  # key of the call that gave a leaf's answer -> answer
-    priors = {(1, (k,)): () for k in range(roots)}  # step key -> prior steps
+    pending = {(1, (k,)): ((), None) for k in range(roots)}  # key -> prior steps, last answer
     replied: list[tuple] = []  # every reply's key, as replies arrive
     error = None
     with closing(CallScheduler(backend)) as calls:
-        for key in priors:
+        for key in pending:
             calls.submit(request_for(config, task, ()), key)
         try:
             for key, generation in calls:
@@ -148,17 +149,18 @@ def _run_trees(
                 if depth > layers:
                     answers[key] = elicited_answer(config, generation)
                     continue
-                path = priors.pop(key) + (generation.text,)
+                prior, stated = pending.pop(key)
+                path = prior + (generation.text,)
+                stated = detect_answer_marker(generation.text, config.answer_marker) or stated
                 if depth < layers:
+                    request = request_for(config, task, path)
                     for j in range(branching):
-                        calls.submit(request_for(config, task, path), (depth + 1, branch + (j,)))
-                        priors[depth + 1, branch + (j,)] = path
-                    continue
-                stated = (detect_answer_marker(t, config.answer_marker) for t in reversed(path))
-                if (answer := next((a for a in stated if a is not None), None)) is None:
+                        calls.submit(request, (depth + 1, branch + (j,)))
+                        pending[depth + 1, branch + (j,)] = path, stated
+                elif stated is None:
                     calls.submit(conclusion_request(config, task, path), (depth + 1, branch))
                 else:
-                    answers[key] = answer
+                    answers[key] = stated
         except BackendError as exc:
             error = str(exc)
     # Replies arrive in any order: count only those a serial run commits.

@@ -13,7 +13,6 @@ reported both per task and per chain, since the two differ for adaptive runs.
 
 from __future__ import annotations
 
-import enum
 import json
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import Callable, Sequence
 
 from ..backends.base import Backend
 from ..engine import RunConfig, RunResult, chain_conclusions, majority_vote, run_task
-from .baselines import BaselineParams, run_chain_baseline, run_tree_baseline
+from .baselines import BaselineParams, Method, run_chain_baseline, run_tree_baseline
 from .cleansing import clean_answer
 from .datasets import TaskInstance
 
@@ -31,13 +30,6 @@ __all__ = [
     "BenchmarkReport",
     "run_benchmark",
 ]
-
-
-class Method(enum.Enum):
-    ENTRODUCTION = "entroduction"
-    COT = "cot"
-    COT_SC = "cotsc"
-    TOT = "tot"
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ def _run_one(
         if method is Method.TOT:
             outcome = run_tree_baseline(task.question, params, backend, config=run_config)
         else:
-            n_chains = 1 if method is Method.COT else params.chains
+            n_chains = 1 if method is Method.COT else None
             outcome = run_chain_baseline(
                 task.question, params, backend, n_chains=n_chains, config=run_config
             )
@@ -128,7 +120,8 @@ def run_benchmark(
     params: BaselineParams | None = None,
     on_result: Callable[[TaskInstance, RunResult], None] | None = None,
 ) -> BenchmarkReport:
-    """Score ``method`` on ``tasks``.
+    """Score ``method`` on ``tasks``. Baselines take the shape ``params``,
+    ``BaselineParams()`` when not given, as ``bench`` does.
 
     ``on_result`` receives each adaptive run, an aborted one with its
     partial trace (for trace export).

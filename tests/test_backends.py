@@ -252,6 +252,7 @@ class TestScriptedBackend:
         ("x", "x", False, "logprob must be a number"),
         ("x", "x", "-0.1", "logprob must be a number"),
         ("x", "x", float("nan"), "NaN is not standard JSON"),
+        ("x", "x", 0.5, "logprob must be <= 0, got 0.5"),
         (None, "None", -0.1, "step text must be a string"),
         (7, "7", -0.1, "step text must be a string"),
     ])
@@ -264,6 +265,14 @@ class TestScriptedBackend:
         path.write_text(json.dumps(line) + "\n", encoding="utf-8")
         with pytest.raises(BackendError, match=f"bad fixture line 1: {error}"):
             load_fixture(path)
+
+    def test_rounding_size_positive_logprob_reads_as_zero(self, tmp_path):
+        path = tmp_path / "rounding.jsonl"
+        lines = [{"text": "x", "finish_reason": "stop_sequence",
+                  "tokens": [{"text": "x", "logprob": logprob}]}
+                 for logprob in (1e-9, base.LOGPROB_ROUNDING)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        assert [step.tokens[0].chosen_logprob for step in load_fixture(path)] == [0.0, 0.0]
 
     def test_huge_integer_logprob_is_bad_fixture_line(self, tmp_path):
         path = tmp_path / "huge.jsonl"

@@ -7,7 +7,7 @@ import threading
 from helpers import UNIFORM4, make_step
 from test_concurrency import GATE_TIMEOUT_S, KeyedBackend, worker_threads
 from entroduction.backends import BackendError, GenerationRequest
-from entroduction.harness import BaselineParams, run_chain_baseline, run_tree_baseline
+from entroduction.harness import BaselineParams, baselines, run_chain_baseline, run_tree_baseline
 
 QUESTION = "what is 2 + 2?"
 
@@ -56,6 +56,33 @@ class TestLeafAnswer:
             "error": None,
         }
         assert all(request.task == QUESTION for request in requests)
+
+
+class TestReadOnce:
+    def test_each_step_reply_read_once_and_each_node_builds_one_request(self, monkeypatch):
+        reads, requests = [], []
+
+        def counting(text, marker):
+            reads.append(text)
+            return real(text, marker)
+
+        class ThinkingBackend:
+            def generate_step(self, request: GenerationRequest):
+                requests.append(request)
+                return make_step("thinking", UNIFORM4)
+
+        real = baselines.detect_answer_marker
+        monkeypatch.setattr(baselines, "detect_answer_marker", counting)
+        outcome = run_tree_baseline(
+            QUESTION, BaselineParams(branching=3, layers=3), ThinkingBackend()
+        )
+        # 1 + 3 + 9 step replies, each read once; the leaves' 9 elicitations
+        # are read by the engine's elicited_answer.
+        assert (outcome.steps_generated, outcome.conclusion_calls) == (13, 9)
+        assert len(reads) == 13
+        # The root request, then one per inner node, shared by its children.
+        steps = [request for request in requests if request.task == QUESTION]
+        assert len(steps) == 13 and len({id(request) for request in steps}) == 5
 
 
 class GatedChainsBackend(KeyedBackend):

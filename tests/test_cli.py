@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from entroduction import cli
 from entroduction.backends import dump_fixture
 from entroduction.cli import main
 from entroduction.engine import RunConfig
-from entroduction.harness import BaselineMethod, Method, TaskKind, math_params
+from entroduction.harness import BaselineParams, Method, TaskKind
 from entroduction.policy import PolicyConfig
 
 
@@ -89,6 +90,26 @@ class TestRunCommand:
         )
         assert result.exit_code == 1
         assert "configuration error" in result.output
+
+    def test_openai_without_model_is_config_error(self):
+        result = CliRunner().invoke(
+            main, ["run", "q", "--backend", "openai", "--endpoint", "http://127.0.0.1:1/v1"]
+        )
+        assert_exit(result, 1, "configuration error: openai backend requires --model")
+
+    def test_summary_out_writes_one_row_per_chain(self, tmp_path):
+        out = tmp_path / "chains.csv"
+        result = CliRunner().invoke(
+            main, ["run", "q", "--max-steps", "8", "--epsilon", "0.9", "--seed", "3",
+                   "--summary-out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        chains = int(result.output.split("chains: ")[1].split()[0])
+        with open(out, encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["chain_id", "length", "status", "parent_chain", "shared_prefix",
+                          "final_answer", "mean_norm_entropy"]
+        assert [int(row[0]) for row in rows] == list(range(chains))
 
     def test_unknown_backend_is_config_error(self):
         result = CliRunner().invoke(main, ["run", "q", "--backend", "nope"])
@@ -406,14 +427,22 @@ class TestDefaults:
         (method, _, _), kwargs = calls["run_benchmark"]
         assert method is Method.ENTRODUCTION
         assert kwargs["run_config"] == RunConfig()
-        assert kwargs["params"] == math_params(BaselineMethod.COT_SC)
+        assert kwargs["params"] == BaselineParams()
+
+    def test_bench_baseline_without_shape_flags_runs_the_default_shape(self, tmp_path):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "1"}])
+        result = CliRunner().invoke(main, ["bench", "--dataset", str(dataset), "--method", "cotsc"])
+        assert result.exit_code == 0, result.output
+        # Three chains of eight steps, as run_benchmark runs without params.
+        assert "mean steps/task: 24.00" in result.output
 
     def test_help_shows_dataclass_defaults(self):
         result = CliRunner().invoke(main, ["bench", "--help"])
         assert result.exit_code == 0, result.output
         text = " ".join(result.output.split())
         assert f"Step budget (default {RunConfig().max_steps})" in text
-        assert f"Baseline chain count (default {math_params(BaselineMethod.COT_SC).chains})" in text
+        assert f"Baseline chain count (default {BaselineParams().chains})" in text
 
 
 class TestUsageErrors:
@@ -456,6 +485,8 @@ class TestUsageErrors:
         (["--temperature", "-1"], "temperature must be finite and >= 0"),
         (["--temperature", "nan"], "temperature must be finite and >= 0"),
         (["--temperature", "inf"], "temperature must be finite and >= 0"),
+        (["--max-steps", "0"], "max_steps must be >= 1"),
+        (["--max-chains", "0"], "max_chains must be >= 1"),
     ])
     def test_rejected_setting_is_config_error(self, args, message):
         result = CliRunner().invoke(main, ["run", "q", *args])

@@ -279,6 +279,19 @@ class TestBaselineAccounting:
         assert baseline_step_count(BaselineMethod.COT_SC, commonsense_params(BaselineMethod.COT_SC)) == 15
         assert baseline_step_count(BaselineMethod.TOT, commonsense_params(BaselineMethod.TOT)) == 121
 
+    def test_one_method_enum_and_one_default_shape(self):
+        assert BaselineMethod is Method
+        assert BaselineParams() == BaselineParams(steps=8, chains=3, branching=3, layers=5)
+        assert math_params(Method.COT_SC) == math_params(Method.TOT) == BaselineParams()
+        with pytest.raises(ValueError, match="no fixed step count"):
+            baseline_step_count(Method.ENTRODUCTION, BaselineParams())
+
+    @pytest.mark.parametrize("n_chains", [0, -1])
+    def test_chain_count_below_one_rejected(self, n_chains):
+        backend = SyntheticBackend([SyntheticStep(logprobs=UNIFORM4)])
+        with pytest.raises(ValueError, match="baseline parameters must be >= 1"):
+            run_chain_baseline("q", BaselineParams(), backend, n_chains=n_chains)
+
     def test_tree_count_formula(self):
         assert baseline_step_count(BaselineMethod.TOT, BaselineParams(branching=2, layers=3)) == 7
         assert baseline_step_count(BaselineMethod.TOT, BaselineParams(branching=1, layers=4)) == 4
@@ -426,6 +439,12 @@ class TestRunBenchmark:
         assert [r.steps for r in report.records] == [3, 3]
         assert report.records[0].correct  # gold "1" matches
         assert not report.records[1].correct
+
+    def test_default_shape_is_the_cli_default(self):
+        backend = SyntheticBackend([SyntheticStep(logprobs=UNIFORM4, text="The answer is 1")])
+        report = run_benchmark(Method.COT_SC, fixture_tasks(2), backend)
+        assert [(r.chains, r.steps) for r in report.records] == [(3, 24), (3, 24)]
+        assert report.mean_steps == 24.0
 
     @pytest.mark.parametrize("method", [Method.TOT, Method.COT_SC])
     def test_baselines_honour_run_config(self, method):

@@ -166,6 +166,17 @@ class TestParsing:
         with pytest.raises(BackendError):
             OpenAIChatBackend._parse_tokens([entry])
 
+    def test_positive_logprob_fails_its_call(self):
+        rounding = completion_payload([("x", -0.2), ("y", base.LOGPROB_ROUNDING)])
+        positive = completion_payload([("x", -0.2), ("y", 0.5)])
+        with ChatCompletionsMock([rounding, positive]) as mock:
+            backend = make_backend(mock)
+            step = backend.generate_step(step_request())
+            assert [t.chosen_logprob for t in step.tokens] == [-0.2, 0.0]
+            with pytest.raises(BackendError, match="logprob must be <= 0, got 0.5"):
+                backend.generate_step(step_request())
+            assert len(mock.requests) == 2
+
     @given(logprob_content)
     @settings(max_examples=300, deadline=None)
     def test_fuzz_valid_records_or_backend_error(self, content):
@@ -299,6 +310,18 @@ class TestFailures:
                 backend.generate_step(step_request())
         assert spans == [(0.0, 1.0), (0.0, 2.0), (0.0, 4.0)]
         assert waits == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("retry_after", ["-1", "nan"])
+    def test_unusable_retry_after_waits_the_backoff(self, retry_after, monkeypatch):
+        waits = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+        responses = [(503, {}, {"Retry-After": retry_after}), completion_payload(THREE_TOKENS)]
+        with ChatCompletionsMock(responses) as mock:
+            backend = make_backend(mock, retry_backoff=1.0)
+            monkeypatch.setattr(backend._jitter, "uniform", lambda lo, hi: (lo + hi) / 4)
+            backend.generate_step(step_request())
+            assert len(mock.requests) == 2
+        assert waits == [0.25]
 
     def test_rate_limited_throughout_ends_only_its_task(self):
         with ChatCompletionsMock([RATE_LIMITED]) as mock:
@@ -553,6 +576,10 @@ class TestConstruction:
     def test_missing_endpoint_rejected(self):
         with pytest.raises(ConfigurationError):
             OpenAIChatBackend(endpoint="", model="m")
+
+    def test_missing_model_rejected(self):
+        with pytest.raises(ConfigurationError, match="model is required"):
+            OpenAIChatBackend(endpoint="http://h/v1", model="")
 
     def test_max_in_flight_declared(self):
         assert OpenAIChatBackend(endpoint="http://h/v1", model="m").max_in_flight == 4
