@@ -5,10 +5,10 @@ only when the HTTP backend is used.
 """
 
 from .base import (
+    ANSWER_MARKER,
     Backend,
     BackendError,
     ConfigurationError,
-    DEFAULT_ANSWER_MARKER,
     DEFAULT_SYSTEM_PROMPT,
     FinishReason,
     GenerationRequest,
@@ -29,7 +29,7 @@ __all__ = [
     "FinishReason",
     "GenerationRequest",
     "StepGeneration",
-    "DEFAULT_ANSWER_MARKER",
+    "ANSWER_MARKER",
     "DEFAULT_SYSTEM_PROMPT",
     "detect_answer_marker",
     "render_step_prompt",

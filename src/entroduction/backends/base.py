@@ -26,7 +26,7 @@ __all__ = [
     "GenerationRequest",
     "StepGeneration",
     "Backend",
-    "DEFAULT_ANSWER_MARKER",
+    "ANSWER_MARKER",
     "DEFAULT_SYSTEM_PROMPT",
     "detect_answer_marker",
     "load_template",
@@ -55,7 +55,7 @@ class FinishReason(enum.Enum):
     ANSWER_MARKER = "answer_marker"
 
 
-DEFAULT_ANSWER_MARKER = "the answer is"
+ANSWER_MARKER = "the answer is"  # the sentence both prompt templates ask for
 DEFAULT_SYSTEM_PROMPT = (
     "You are a careful reasoner. Work on the task one short step at a time."
 )
@@ -129,19 +129,17 @@ def json_logprob(value: object) -> float:
     return min(float(value), 0.0)
 
 
-@functools.cache
-def _marker_pattern(marker: str) -> re.Pattern:
-    # The greedy prefix makes a match end after the marker's last occurrence.
-    return re.compile(".*" + re.escape(marker), re.IGNORECASE | re.DOTALL)
+# The greedy prefix makes a match end after the marker's last occurrence.
+_MARKER_PATTERN = re.compile(".*" + re.escape(ANSWER_MARKER), re.IGNORECASE | re.DOTALL)
 
 
-def detect_answer_marker(text: str, marker: str = DEFAULT_ANSWER_MARKER) -> str | None:
-    """Trailing answer span after the last occurrence of ``marker``, if any.
+def detect_answer_marker(text: str) -> str | None:
+    """Trailing answer span after the last occurrence of ``ANSWER_MARKER``, if any.
 
     Matching is case-insensitive; the remainder is stripped of surrounding
     whitespace. Returns None when the marker is absent or has no remainder.
     """
-    match = _marker_pattern(marker).match(text)
+    match = _MARKER_PATTERN.match(text)
     remainder = text[match.end():].strip() if match else ""
     return remainder or None
 

@@ -23,22 +23,20 @@ from .base import FinishReason, GenerationRequest, StepGeneration
 __all__ = ["SyntheticStep", "SyntheticBackend", "logits_for_normalized_entropy"]
 
 
-def logits_for_normalized_entropy(
-    target: float, n_tokens: int, tolerance: float = 1e-9
-) -> tuple[float, ...]:
+def logits_for_normalized_entropy(target: float, n_tokens: int) -> tuple[float, ...]:
     """Logit vector of length ``n_tokens`` whose softmax entropy, divided by
     log2(n), hits ``target``.
 
     Uses the family [a, 0, ..., 0]: a = 0 is uniform (normalized entropy 1)
     and the entropy falls monotonically to 0 as ``a`` grows, so bisection
     converges to float precision. The solved ``a`` is memoized for each
-    process, keyed by ``(target, n_tokens, tolerance)``, so each distinct
-    target is bisected once.
+    process, keyed by ``(target, n_tokens)``, so each distinct target is
+    bisected once.
     """
     _check_target(target, n_tokens)
     if target == 1.0:
         return (0.0,) * n_tokens
-    return (_solve(target, n_tokens, tolerance),) + (0.0,) * (n_tokens - 1)
+    return (_solve(target, n_tokens),) + (0.0,) * (n_tokens - 1)
 
 
 def _check_target(target: float, n_tokens: int) -> None:
@@ -59,9 +57,10 @@ def _family_entropy(a: float, n_tokens: int) -> float:
 
 
 @functools.cache
-def _solve(target: float, n_tokens: int, tolerance: float) -> float:
-    """The ``a`` of [a, 0, ..., 0] that realizes ``target``, by bisection.
-    ``a`` stays in [0, 1e6], so the logits are finite and go unchecked."""
+def _solve(target: float, n_tokens: int) -> float:
+    """The ``a`` of [a, 0, ..., 0] that realizes ``target``, by bisection to a
+    relative width of 1e-9. ``a`` stays in [0, 1e6], so the logits are finite
+    and go unchecked."""
     max_entropy = math.log2(n_tokens)
 
     def normalized(a: float) -> float:
@@ -78,7 +77,7 @@ def _solve(target: float, n_tokens: int, tolerance: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tolerance * max(1.0, hi):
+        if hi - lo < 1e-9 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
 
@@ -99,6 +98,8 @@ class SyntheticStep:
             )
         if self.logprobs is not None:
             object.__setattr__(self, "logprobs", tuple(float(v) for v in self.logprobs))
+            if not self.logprobs or not all(map(math.isfinite, self.logprobs)):
+                raise ValueError(f"logprobs must be non-empty and finite, got {self.logprobs}")
         else:
             _check_target(self.target_normalized_entropy, self.n_tokens)
 

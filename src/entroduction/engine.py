@@ -13,10 +13,12 @@ previous one and the delta pair is classified and sampled epsilon-greedily:
   after a grace of stop_k - 1 forced steps (soft stop), which later deltas
   cannot cancel.
 
-A chain also finalizes as soon as a step states an answer ("the answer is
-..."), which preempts whatever action was sampled for that step, and every
-surviving chain finalizes when the step budget runs out. Chains without a
-detected answer are asked once more to state one so they can join the vote.
+A chain also finalizes as soon as a step states an answer (the text after
+the last ``ANSWER_MARKER``, "the answer is", the sentence both prompt
+templates ask for), which preempts whatever action was sampled for that
+step, and every surviving chain finalizes when the step budget runs out.
+Chains without a detected answer are asked once more to state one so they
+can join the vote.
 The run conclusion is the majority vote over chain answers, ties broken by
 the most confident chain (lowest mean normalized step entropy).
 
@@ -28,10 +30,10 @@ iteration j, ``(j, k, 1)`` for that chain's expand sibling, and
 ``(j + 1, k, 0)`` for the k-th elicitation after the last iteration j.
 The run takes each reply from the scheduler by its key, in key order, and
 allocates node ids as it commits them, so the trace is the one a serial run
-produces. Each reply object is measured, and read for an answer under
-``config.answer_marker``, once per run: a backend that returns one object to
-several calls (the synthetic backend, to every chain at a depth and to an
-expand's sibling) gets one reading, reused by every node built from it.
+produces. Each reply object is measured, and read for an answer, once per
+run: a backend that returns one object to several calls (the synthetic
+backend, to every chain at a depth and to an expand's sibling) gets one
+reading, reused by every node built from it.
 
 ``request_for``, ``conclusion_request`` with ``elicited_answer``, and the
 scheduler are the one way to build a step request, to elicit a final answer
@@ -50,7 +52,6 @@ from typing import Any, Iterator, Sequence
 from .backends.base import (
     Backend,
     BackendError,
-    DEFAULT_ANSWER_MARKER,
     DEFAULT_SYSTEM_PROMPT,
     GenerationRequest,
     StepGeneration,
@@ -123,7 +124,6 @@ class RunConfig:
     max_steps: int = 16
     max_chains: int = 16
     policy: PolicyConfig = field(default_factory=PolicyConfig)
-    answer_marker: str = DEFAULT_ANSWER_MARKER
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
     temperature: float = GenerationRequest.temperature
     max_tokens: int = GenerationRequest.max_tokens
@@ -302,9 +302,9 @@ def conclusion_request(config: RunConfig, task: str, prior: Sequence[str]) -> Ge
     return request_for(config, render_conclusion_prompt(task, tuple(prior)), prior)
 
 
-def elicited_answer(config: RunConfig, generation: StepGeneration) -> str:
+def elicited_answer(generation: StepGeneration) -> str:
     """The answer a conclusion reply states, else the whole stripped reply."""
-    answer = detect_answer_marker(generation.text, config.answer_marker)
+    answer = detect_answer_marker(generation.text)
     return answer if answer is not None else generation.text.strip()
 
 
@@ -334,7 +334,7 @@ class _Runner:
             reading = self.readings[id(generation)] = (
                 generation,
                 compute_step_metrics(generation.tokens),
-                detect_answer_marker(generation.text, self.config.answer_marker),
+                detect_answer_marker(generation.text),
             )
         node = ReasoningNode(
             id=self.structure.allocate_node_id(),
@@ -451,7 +451,7 @@ class _Runner:
         for k, chain in enumerate(pending):
             _, generation = self.calls.take((step_index, k, 0))
             self.conclusion_calls += 1
-            chain.final_answer = elicited_answer(self.config, generation) or None
+            chain.final_answer = elicited_answer(generation) or None
 
     def run(self) -> RunResult:
         started = time.perf_counter()

@@ -9,7 +9,7 @@ shape costs roots * sum(branching**k for k in range(layers)) nodes.
 Final-answer elicitation calls are tracked separately from reasoning steps.
 A backend failure ends the task with a partial outcome, as in ``run_task``.
 Requests and elicitation go through the engine's request helpers, so a
-``RunConfig`` sets sampling, prompt and marker for both the adaptive method
+``RunConfig`` sets sampling and prompt for both the adaptive method
 and these baselines. Every shape runs on one ``CallScheduler``, which sends a
 node's children as soon as its step returns and a leaf's elicitation as soon
 as the leaf returns, so no chain waits for another chain's steps.
@@ -106,8 +106,7 @@ def run_chain_baseline(
     """Fixed-length chains: ``n_chains`` (default ``params.chains``) chains
     of exactly ``params.steps`` nodes each, with no early stopping, so
     accounting stays exact; one answer per chain; fewer than one chain is a
-    ValueError. ``config`` supplies the sampling settings, system prompt and
-    answer marker."""
+    ValueError. ``config`` supplies the sampling settings and system prompt."""
     if n_chains is not None:
         params = replace(params, chains=n_chains)
     return _run_trees(task, params.chains, 1, params.steps, backend, config)
@@ -122,8 +121,7 @@ def run_tree_baseline(
 ) -> BaselineOutcome:
     """Full tree expansion: one root step, then ``params.branching``
     children per node for ``params.layers - 1`` further levels; one answer
-    per leaf. ``config`` supplies the sampling settings, system prompt and
-    answer marker."""
+    per leaf. ``config`` supplies the sampling settings and system prompt."""
     return _run_trees(task, 1, params.branching, params.layers, backend, config)
 
 
@@ -147,11 +145,11 @@ def _run_trees(
                 replied.append(key)
                 depth, branch = key
                 if depth > layers:
-                    answers[key] = elicited_answer(config, generation)
+                    answers[key] = elicited_answer(generation)
                     continue
                 prior, stated = pending.pop(key)
                 path = prior + (generation.text,)
-                stated = detect_answer_marker(generation.text, config.answer_marker) or stated
+                stated = detect_answer_marker(generation.text) or stated
                 if depth < layers:
                     request = request_for(config, task, path)
                     for j in range(branching):

@@ -12,7 +12,7 @@ import enum
 import re
 from typing import Sequence
 
-from ..backends.base import DEFAULT_ANSWER_MARKER
+from ..backends.base import ANSWER_MARKER
 from .datasets import OPTION_LABELS, TaskKind
 
 __all__ = [
@@ -44,10 +44,10 @@ def clean_answer_numeric(pred: str, position: Position = Position.LAST) -> str:
     return numbers[0] if position is Position.FIRST else numbers[-1]
 
 
-def numeric_position_for(pred: str, marker: str = DEFAULT_ANSWER_MARKER) -> Position:
+def numeric_position_for(pred: str) -> Position:
     """Select FIRST when the prediction opens with an answer statement,
     LAST otherwise (the final computation of a reasoning chain comes last)."""
-    if pred.strip().lower().startswith(marker.lower()):
+    if pred.strip().lower().startswith(ANSWER_MARKER):
         return Position.FIRST
     return Position.LAST
 
@@ -93,16 +93,10 @@ def clean_answer_choice(pred: str, options: Sequence[str]) -> str:
     return ""
 
 
-def clean_answer(
-    pred: str,
-    task_kind: TaskKind,
-    options: Sequence[str] = (),
-    position: Position | None = None,
-) -> str:
-    """Dispatch cleansing by task kind. ``position=None`` picks automatically."""
+def clean_answer(pred: str, task_kind: TaskKind, options: Sequence[str] = ()) -> str:
+    """Dispatch cleansing by task kind; a number's position is picked by ``numeric_position_for``."""
     if task_kind is TaskKind.NUMERIC_MATH:
-        chosen = position or numeric_position_for(pred)
-        return clean_answer_numeric(pred, chosen)
+        return clean_answer_numeric(pred, numeric_position_for(pred))
     if task_kind is TaskKind.BOOLEAN:
         return _normalize_boolean(pred)
     return clean_answer_choice(pred, options)

@@ -83,7 +83,7 @@ def read_trace(source: str | Path | IO[str]) -> list[dict]:
 def export_chain_summary(result: RunResult, sink: IO[str]) -> None:
     """Write a per-chain CSV to the open text file ``sink``: length, lifecycle
     outcome, lineage, answer, confidence."""
-    writer = csv.writer(sink)
+    writer = csv.writer(sink, lineterminator="\n")  # line ends like every other output
     writer.writerow(
         ["chain_id", "length", "status", "parent_chain", "shared_prefix",
          "final_answer", "mean_norm_entropy"]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -26,6 +27,7 @@ from helpers import (
     synthetic_schedule,
 )
 from entroduction.backends import (
+    ANSWER_MARKER,
     BackendError,
     ConfigurationError,
     FinishReason,
@@ -166,9 +168,6 @@ class TestDetectAnswerMarker:
 
     def test_no_marker(self):
         assert detect_answer_marker("We should consider both cases.") is None
-
-    def test_configured_pattern(self):
-        assert detect_answer_marker("Answer: (B)", marker="Answer:") == "(B)"
 
     def test_case_insensitive_last_occurrence(self):
         text = "The Answer Is maybe. THE ANSWER IS 7"
@@ -329,7 +328,7 @@ class TestSyntheticBackend:
         )
         step = backend.generate_step(request())
         assert "".join(t.text for t in step.tokens) == step.text
-        # The run's configured marker, not the backend, decides what states an answer.
+        # The engine, not the backend, decides what states an answer.
         assert step.finish_reason is FinishReason.STOP_SEQUENCE
         assert detect_answer_marker(step.text) == "4"
 
@@ -431,6 +430,15 @@ class TestSyntheticBackend:
         with pytest.raises(ValueError):
             SyntheticStep(target_normalized_entropy=target, n_tokens=n_tokens)
 
+    @pytest.mark.parametrize(
+        "logprobs", [(), (math.nan, -1.0), (math.inf, -1.0), (-1.0, -math.inf)]
+    )
+    def test_bad_logprobs_rejected_at_construction(self, logprobs):
+        # Once built, an empty entry would fail mid-run outside BackendError,
+        # and a non-finite one would read every token's logprob as 0.0.
+        with pytest.raises(ValueError, match="logprobs must be non-empty and finite"):
+            SyntheticStep(logprobs=logprobs)
+
 
 class TestLogitsForTarget:
     @pytest.mark.parametrize("target", [1.0, 0.9, 0.5, 0.21, 0.05])
@@ -460,7 +468,7 @@ class TestLogitsForTarget:
             if target == 1.0:
                 uncached = (0.0,) * n
             else:
-                uncached = (_solve.__wrapped__(target, n, 1e-9),) + (0.0,) * (n - 1)
+                uncached = (_solve.__wrapped__(target, n),) + (0.0,) * (n - 1)
             assert logits_for_normalized_entropy(target, n) == uncached
             assert logits_for_normalized_entropy(target, n) == uncached
 
@@ -468,12 +476,12 @@ class TestLogitsForTarget:
     def test_solve_equals_validated_bisection_on_sweep_keys(self, n):
         # Every target the synthetic_sweep benchmark can draw at this length.
         for target in (round(k / 1000, 3) for k in range(50, 1000)):
-            assert _solve.__wrapped__(target, n, 1e-9).hex() == validated_solve(target, n).hex()
+            assert _solve.__wrapped__(target, n).hex() == validated_solve(target, n).hex()
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(2, 300))
     def test_solve_equals_validated_bisection(self, target, n):
-        assert _solve.__wrapped__(target, n, 1e-9).hex() == validated_solve(target, n).hex()
+        assert _solve.__wrapped__(target, n).hex() == validated_solve(target, n).hex()
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -532,7 +540,7 @@ class TestLogitsForTarget:
             assert not thread.is_alive()
         assert len(results) == 8
         assert all(result == results[0] for result in results)
-        assert results[0][0] == _solve.__wrapped__(0.333, 64, 1e-9)
+        assert results[0][0] == _solve.__wrapped__(0.333, 64)
 
 
 class TestGenerationRequest:
@@ -584,6 +592,13 @@ class TestTemplates:
             base.load_template.cache_clear()
         assert rendered == [expected] * 3
         assert reads == ["entroduction.templates"]
+
+    @pytest.mark.parametrize("name", ["step_prompt.txt", "conclusion_prompt.txt"])
+    def test_template_asks_for_the_answer_marker(self, name):
+        # Answers are read by ANSWER_MARKER alone: each prompt must ask for a
+        # quoted sentence that holds it.
+        asked = re.findall(r'"([^"]*)"', base.load_template(name))
+        assert any(ANSWER_MARKER in sentence.lower() for sentence in asked)
 
 
 def loaded_by_program(names: set[str]) -> str:

@@ -62,9 +62,9 @@ class TestReadOnce:
     def test_each_step_reply_read_once_and_each_node_builds_one_request(self, monkeypatch):
         reads, requests = [], []
 
-        def counting(text, marker):
+        def counting(text):
             reads.append(text)
-            return real(text, marker)
+            return real(text)
 
         class ThinkingBackend:
             def generate_step(self, request: GenerationRequest):

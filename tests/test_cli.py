@@ -111,6 +111,13 @@ class TestRunCommand:
                           "final_answer", "mean_norm_entropy"]
         assert [int(row[0]) for row in rows] == list(range(chains))
 
+    def test_summary_out_lines_end_in_newline_alone(self, tmp_path):
+        out = tmp_path / "chains.csv"
+        result = CliRunner().invoke(main, ["run", "q", "--max-steps", "3", "--summary-out", str(out)])
+        assert result.exit_code == 0, result.output
+        data = out.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+
     def test_unknown_backend_is_config_error(self):
         result = CliRunner().invoke(main, ["run", "q", "--backend", "nope"])
         assert result.exit_code == 1

@@ -285,16 +285,16 @@ class TestAnswerMarker:
         assert result.conclusion_calls == 1
         assert result.total_steps == 2  # the elicitation does not count
 
-    def test_configured_marker_alone_states_answers(self):
+    def test_engine_alone_states_answers(self):
         backend = SyntheticBackend([
             SyntheticStep(logprobs=UNIFORM4, text="think it through"),
-            SyntheticStep(logprobs=A30, text="the answer is 3, so Final: 4"),
+            SyntheticStep(logprobs=A30, text="the answer is 3, so the answer is 4"),
         ])
-        result = run_task("q", greedy_config(max_steps=6, answer_marker="Final:"), backend)
+        result = run_task("q", greedy_config(max_steps=6), backend)
         chain = result.structure.chains[0]
         assert chain.final_answer == "4"
         assert result.trace[1].finalize_reason == "answer_marker"
-        # The backend labels how the step ended, not an answer under some other marker.
+        # The backend labels how the step ended, not the answer the engine reads.
         step = backend.generate_step(GenerationRequest("", "q", ("think it through",)))
         assert step.finish_reason is FinishReason.STOP_SEQUENCE
 
