@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import threading
 import time
@@ -33,11 +32,6 @@ from .base import (
 )
 
 __all__ = ["OpenAIChatBackend"]
-
-ENDPOINT_ENV = "ENTRODUCTION_ENDPOINT"
-API_KEY_ENV = "ENTRODUCTION_API_KEY"
-FALLBACK_ENDPOINT_ENV = "OPENAI_BASE_URL"
-FALLBACK_API_KEY_ENV = "OPENAI_API_KEY"
 
 STOP_SEQUENCES = ("\n",)  # a step is one line
 DEFAULT_TIMEOUT = 30.0
@@ -63,9 +57,11 @@ class OpenAIChatBackend:
     """Chat-completions client that returns token-level logprob evidence.
 
     ``endpoint`` is the API base (".../v1") or a full chat-completions URL.
-    In-flight requests are bounded by a semaphore of ``max_in_flight``, so
-    many chains and tasks can share one backend safely; the engine sends up
-    to that many independent calls at once.
+    Both it and ``api_key`` are used as given; the backend reads neither
+    from the environment (the CLI resolves both). In-flight requests are
+    bounded by a semaphore of ``max_in_flight``, so many chains and tasks
+    can share one backend safely; the engine sends up to that many
+    independent calls at once.
 
     The environment is read once, when the backend is built: proxies (after
     ``NO_PROXY``), ``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE`` and netrc for
@@ -133,16 +129,6 @@ class OpenAIChatBackend:
         if trimmed.endswith("/chat/completions"):
             return trimmed
         return trimmed + "/chat/completions"
-
-    @classmethod
-    def from_env(cls, model: str, **kwargs) -> "OpenAIChatBackend":
-        endpoint = os.environ.get(ENDPOINT_ENV) or os.environ.get(FALLBACK_ENDPOINT_ENV)
-        if not endpoint:
-            raise ConfigurationError(
-                f"no endpoint configured; set {ENDPOINT_ENV} or {FALLBACK_ENDPOINT_ENV}"
-            )
-        api_key = os.environ.get(API_KEY_ENV) or os.environ.get(FALLBACK_API_KEY_ENV)
-        return cls(endpoint=endpoint, model=model, api_key=api_key, **kwargs)
 
     def _payload(self, request: GenerationRequest) -> dict:
         return {

@@ -78,10 +78,6 @@ class ScriptedBackend:
         self._position = 0
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
-        return cls(load_fixture(path))
-
     @property
     def calls_made(self) -> int:
         return self._position

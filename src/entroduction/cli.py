@@ -3,16 +3,18 @@
 Subcommands: ``run`` plays one task, ``bench`` scores a dataset, ``trace``
 re-exports or inspects a saved trace. Settings resolve in order: the config
 dataclasses' defaults, then a key=value config file, then explicit flags;
-click converts file values with the same option types as flags. Exit codes:
-0 success, 1 configuration error (any bad flag or file value included),
-2 backend failure, 3 dataset error. Commands raise ``ConfigurationError``,
-``BackendError`` or ``DatasetError``; the command group alone turns each into
-its message and exit code.
+click converts file values with the same option types as flags. The HTTP
+endpoint and API key fall back to the environment (see ``build_backend``).
+Exit codes: 0 success, 1 configuration error (any bad flag or file value
+included), 2 backend failure, 3 dataset error. Commands raise
+``ConfigurationError``, ``BackendError`` or ``DatasetError``; the command
+group alone turns each into its message and exit code.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
@@ -25,6 +27,7 @@ from .backends import (
     ScriptedBackend,
     SyntheticBackend,
     SyntheticStep,
+    load_fixture,
 )
 from .engine import RunConfig, run_task
 from .harness import (
@@ -46,6 +49,9 @@ from .policy import MetricMode, PolicyConfig
 EXIT_CONFIG = 1
 EXIT_BACKEND = 2
 EXIT_DATASET = 3
+
+ENDPOINT_ENV = ("ENTRODUCTION_ENDPOINT", "OPENAI_BASE_URL")
+API_KEY_ENV = ("ENTRODUCTION_API_KEY", "OPENAI_API_KEY")
 
 
 def read_config_file(path: str | None, names: set[str]) -> dict[str, str]:
@@ -92,7 +98,14 @@ def _open_output(path: str | None):
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
+def _from_environment(names: tuple[str, ...]) -> str | None:
+    """The first of the variables ``names`` set to a non-empty value."""
+    return next((value for name in names if (value := os.environ.get(name))), None)
+
+
 def build_backend(settings: dict):
+    """The backend ``settings`` name. The HTTP endpoint and API key each come from
+    the first source that gives one: flag, config file, ``ENDPOINT_ENV``/``API_KEY_ENV``."""
     name = settings["backend"]
     if name == "synthetic":
         schedule_text = settings["schedule"]
@@ -106,16 +119,17 @@ def build_backend(settings: dict):
     if name == "scripted":
         if not settings["fixture"]:
             raise ConfigurationError("scripted backend requires --fixture")
-        return ScriptedBackend.from_jsonl(settings["fixture"])
+        return ScriptedBackend(load_fixture(settings["fixture"]))
     from .backends.openai_http import OpenAIChatBackend
 
     model = settings["model"]
     if not model:
         raise ConfigurationError("openai backend requires --model")
-    endpoint = settings["endpoint"]
-    if endpoint:
-        return OpenAIChatBackend(endpoint=endpoint, model=model, api_key=settings["api_key"])
-    return OpenAIChatBackend.from_env(model=model)
+    endpoint = settings["endpoint"] or _from_environment(ENDPOINT_ENV)
+    if not endpoint:
+        raise ConfigurationError(f"openai backend requires --endpoint, {' or '.join(ENDPOINT_ENV)}")
+    api_key = settings["api_key"] or _from_environment(API_KEY_ENV)
+    return OpenAIChatBackend(endpoint=endpoint, model=model, api_key=api_key)
 
 
 def build_run_config(settings: dict) -> RunConfig:
@@ -151,9 +165,9 @@ def common_options(command):
                      help="Key=value config file."),
         click.option("--backend", type=backends, default="synthetic", show_default=True,
                      help="Step backend."),
-        click.option("--endpoint", help="OpenAI-compatible API base URL."),
+        click.option("--endpoint", help=f"API base URL (else ${' or $'.join(ENDPOINT_ENV)})."),
         click.option("--model", help="Model name for the HTTP backend."),
-        click.option("--api-key", help="API key (or use environment)."),
+        click.option("--api-key", help=f"API key (else ${' or $'.join(API_KEY_ENV)})."),
         click.option("--fixture", help="Fixture JSONL for the scripted backend."),
         click.option("--schedule", default="0.95,0.9,0.85,0.5,0.3", show_default=True,
                      help="Entropy targets for the synthetic backend."),

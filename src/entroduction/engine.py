@@ -124,7 +124,6 @@ class RunConfig:
     max_steps: int = 16
     max_chains: int = 16
     policy: PolicyConfig = field(default_factory=PolicyConfig)
-    system_prompt: str = DEFAULT_SYSTEM_PROMPT
     temperature: float = GenerationRequest.temperature
     max_tokens: int = GenerationRequest.max_tokens
     elicit_final_answer: bool = True
@@ -187,7 +186,7 @@ def chain_conclusions(result: RunResult) -> list[tuple[int, str, float]]:
 def request_for(config: RunConfig, task: str, prior: Sequence[str]) -> GenerationRequest:
     """The generation request for ``task`` after the steps in ``prior``."""
     return GenerationRequest(
-        system_prompt=config.system_prompt,
+        system_prompt=DEFAULT_SYSTEM_PROMPT,
         task=task,
         prior_steps=tuple(prior),
         temperature=config.temperature,

@@ -9,10 +9,10 @@ shape costs roots * sum(branching**k for k in range(layers)) nodes.
 Final-answer elicitation calls are tracked separately from reasoning steps.
 A backend failure ends the task with a partial outcome, as in ``run_task``.
 Requests and elicitation go through the engine's request helpers, so a
-``RunConfig`` sets sampling and prompt for both the adaptive method
-and these baselines. Every shape runs on one ``CallScheduler``, which sends a
-node's children as soon as its step returns and a leaf's elicitation as soon
-as the leaf returns, so no chain waits for another chain's steps.
+``RunConfig`` sets sampling for both the adaptive method and these baselines.
+Every shape runs on one ``CallScheduler``, which sends a node's children as
+soon as its step returns and a leaf's elicitation as soon as the leaf
+returns, so no chain waits for another chain's steps.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def run_chain_baseline(
     """Fixed-length chains: ``n_chains`` (default ``params.chains``) chains
     of exactly ``params.steps`` nodes each, with no early stopping, so
     accounting stays exact; one answer per chain; fewer than one chain is a
-    ValueError. ``config`` supplies the sampling settings and system prompt."""
+    ValueError. ``config`` supplies the sampling settings."""
     if n_chains is not None:
         params = replace(params, chains=n_chains)
     return _run_trees(task, params.chains, 1, params.steps, backend, config)
@@ -121,7 +121,7 @@ def run_tree_baseline(
 ) -> BaselineOutcome:
     """Full tree expansion: one root step, then ``params.branching``
     children per node for ``params.layers - 1`` further levels; one answer
-    per leaf. ``config`` supplies the sampling settings and system prompt."""
+    per leaf. ``config`` supplies the sampling settings."""
     return _run_trees(task, 1, params.branching, params.layers, backend, config)
 
 

@@ -13,7 +13,7 @@ import re
 from typing import Sequence
 
 from ..backends.base import ANSWER_MARKER
-from .datasets import OPTION_LABELS, TaskKind
+from .datasets import OPTION_LABELS, TaskKind, normalize_boolean
 
 __all__ = [
     "Position",
@@ -27,7 +27,6 @@ NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 PAREN_LETTER_RE = re.compile(r"\(([A-Za-z])\)")
 # Uppercase only: a lowercase bare "a" is usually the article, not a label.
 BARE_LETTER_RE = re.compile(r"\b([A-J])\b")
-YES_NO_RE = re.compile(r"\b(yes|no|true|false)\b", re.IGNORECASE)
 
 
 class Position(enum.Enum):
@@ -57,14 +56,6 @@ def _is_boolean_options(options: Sequence[str]) -> bool:
     return bool(lowered) and lowered <= {"yes", "no", "true", "false"}
 
 
-def _normalize_boolean(pred: str) -> str:
-    match = YES_NO_RE.search(pred)
-    if not match:
-        return ""
-    word = match.group(1).lower()
-    return "yes" if word in ("yes", "true") else "no"
-
-
 def clean_answer_choice(pred: str, options: Sequence[str]) -> str:
     """Match a prediction against labeled options.
 
@@ -77,7 +68,7 @@ def clean_answer_choice(pred: str, options: Sequence[str]) -> str:
     if len(options) > len(OPTION_LABELS):
         raise ValueError(f"at most {len(OPTION_LABELS)} options can be labeled")
     if _is_boolean_options(options):
-        return _normalize_boolean(pred)
+        return normalize_boolean(pred)
 
     labels = OPTION_LABELS[: len(options)]
     for regex in (PAREN_LETTER_RE, BARE_LETTER_RE):
@@ -98,5 +89,5 @@ def clean_answer(pred: str, task_kind: TaskKind, options: Sequence[str] = ()) ->
     if task_kind is TaskKind.NUMERIC_MATH:
         return clean_answer_numeric(pred, numeric_position_for(pred))
     if task_kind is TaskKind.BOOLEAN:
-        return _normalize_boolean(pred)
+        return normalize_boolean(pred)
     return clean_answer_choice(pred, options)

@@ -20,6 +20,7 @@ __all__ = ["TaskKind", "TaskInstance", "DatasetError", "load_dataset", "extract_
 logger = logging.getLogger(__name__)
 
 GOLD_MARKER_RE = re.compile(r"####\s*(.+)")
+YES_NO_RE = re.compile(r"\b(yes|no|true|false)\b", re.IGNORECASE)
 # One label per option of a choice task, so a choice task has at most ten.
 OPTION_LABELS = "ABCDEFGHIJ"
 
@@ -62,6 +63,33 @@ def extract_gold_answer(answer: str) -> str:
     return answer.strip()
 
 
+def normalize_boolean(text: str) -> str:
+    """The first yes, no, true or false word in ``text``, in any case, as
+    "yes" or "no"; "" when there is none."""
+    match = YES_NO_RE.search(text)
+    if not match:
+        return ""
+    return "yes" if match.group(1).lower() in ("yes", "true") else "no"
+
+
+def _gold(answer, task_kind: TaskKind) -> str:
+    """The JSON value ``answer``, unwrapped and read as a prediction of
+    ``task_kind`` is, so the two compare as strings: a boolean gold as yes or
+    no, a numeric one without commas (an integral JSON number as an integer,
+    a JSON boolean rejected). A choice gold is only unwrapped."""
+    if task_kind is TaskKind.BOOLEAN:
+        if not (gold := normalize_boolean(extract_gold_answer(str(answer)))):
+            raise ValueError(f"boolean answer names neither yes nor no: {answer!r}")
+        return gold
+    if task_kind is TaskKind.MULTIPLE_CHOICE:
+        return extract_gold_answer(str(answer))
+    if isinstance(answer, bool):
+        raise ValueError("numeric answer must not be a JSON boolean")
+    if isinstance(answer, float) and answer.is_integer():
+        answer = int(answer)
+    return extract_gold_answer(str(answer)).replace(",", "")
+
+
 def _parse_row(obj: dict, task_kind: TaskKind) -> TaskInstance:
     missing = [
         key for key in ("id", "question", "answer") if key not in obj or obj[key] is None
@@ -76,7 +104,7 @@ def _parse_row(obj: dict, task_kind: TaskKind) -> TaskInstance:
     return TaskInstance(
         id=str(obj["id"]),
         question=str(obj["question"]),
-        gold_answer=extract_gold_answer(str(obj["answer"])),
+        gold_answer=_gold(obj["answer"], task_kind),
         task_kind=task_kind,
         options=tuple(options),
     )

@@ -188,7 +188,7 @@ class TestScriptedBackend:
         ]
         path = tmp_path / "fixture.jsonl"
         dump_fixture(steps, path)
-        backend = ScriptedBackend.from_jsonl(path)
+        backend = ScriptedBackend(load_fixture(path))
         replayed = [backend.generate_step(request()) for _ in range(2)]
         assert replayed == steps
         assert [json.dumps(step_to_json(s)) for s in replayed] == [

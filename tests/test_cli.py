@@ -160,6 +160,98 @@ BLANK_STEP = {"text": "", "finish_reason": "stop_sequence",
               "tokens": [{"text": "", "logprob": -0.1}]}
 
 
+ENDPOINT_SOURCES = ("flag", "config", "ENTRODUCTION_ENDPOINT", "OPENAI_BASE_URL")
+KEY_SOURCES = ("flag", "config", "ENTRODUCTION_API_KEY", "OPENAI_API_KEY")
+ANSWER_REPLY = completion_payload([("The answer is 4", -0.05)])
+
+
+class TestHttpSettings:
+    """The endpoint and the API key each come from the first source that
+    gives one: the flag, the config file, ENTRODUCTION_*, then OPENAI_*."""
+
+    @pytest.fixture(autouse=True)
+    def clean_environment(self, monkeypatch, tmp_path):
+        for name in cli.ENDPOINT_ENV + cli.API_KEY_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
+
+    @staticmethod
+    def invoke(monkeypatch, tmp_path, endpoint, api_key, command=("run", "q")):
+        """Run ``command`` on the openai backend with each setting given by
+        the sources in its dict (source -> value)."""
+        args = [*command, "--backend", "openai", "--model", "m", "--max-steps", "1"]
+        lines = []
+        for option, sources in (("endpoint", endpoint), ("api_key", api_key)):
+            for source, value in sources.items():
+                if source == "flag":
+                    args += ["--" + option.replace("_", "-"), value]
+                elif source == "config":
+                    lines.append(f"{option}={value}\n")
+                else:
+                    monkeypatch.setenv(source, value)
+        if lines:
+            config = tmp_path / "http.conf"
+            config.write_text("".join(lines), encoding="utf-8")
+            args += ["--config", str(config)]
+        return CliRunner().invoke(main, args)
+
+    @pytest.mark.parametrize("key_source", KEY_SOURCES + (None,))
+    @pytest.mark.parametrize("endpoint_source", ENDPOINT_SOURCES)
+    def test_each_source_pair(self, monkeypatch, tmp_path, endpoint_source, key_source):
+        api_key = {} if key_source is None else {key_source: "the-key"}
+        with ChatCompletionsMock([ANSWER_REPLY]) as mock:
+            result = self.invoke(
+                monkeypatch, tmp_path, {endpoint_source: mock.endpoint}, api_key
+            )
+        assert result.exit_code == 0, result.output
+        assert mock.paths == ["/v1/chat/completions"]
+        expected = None if key_source is None else "Bearer the-key"
+        assert [headers.get("Authorization") for headers in mock.headers] == [expected]
+
+    @pytest.mark.parametrize("level", range(len(ENDPOINT_SOURCES)))
+    def test_first_source_wins(self, monkeypatch, tmp_path, level):
+        """Every source after the winning one holds a decoy value."""
+        with ChatCompletionsMock([ANSWER_REPLY]) as mock, \
+                ChatCompletionsMock([ANSWER_REPLY]) as decoy:
+            endpoint = {source: decoy.endpoint for source in ENDPOINT_SOURCES[level:]}
+            api_key = {source: "decoy-key" for source in KEY_SOURCES[level:]}
+            endpoint[ENDPOINT_SOURCES[level]] = mock.endpoint
+            api_key[KEY_SOURCES[level]] = "the-key"
+            result = self.invoke(monkeypatch, tmp_path, endpoint, api_key)
+        assert result.exit_code == 0, result.output
+        assert decoy.requests == []
+        assert [headers.get("Authorization") for headers in mock.headers] == ["Bearer the-key"]
+
+    def test_empty_variable_counts_as_unset(self, monkeypatch, tmp_path):
+        with ChatCompletionsMock([ANSWER_REPLY]) as mock:
+            result = self.invoke(
+                monkeypatch, tmp_path,
+                {"ENTRODUCTION_ENDPOINT": "", "OPENAI_BASE_URL": mock.endpoint},
+                {"ENTRODUCTION_API_KEY": "", "OPENAI_API_KEY": "the-key"},
+            )
+        assert result.exit_code == 0, result.output
+        assert [headers.get("Authorization") for headers in mock.headers] == ["Bearer the-key"]
+
+    @pytest.mark.parametrize("command", [("run", "q"), ("bench", "--dataset", "d.jsonl")])
+    def test_no_endpoint_is_config_error(self, monkeypatch, tmp_path, calls, command):
+        keys = {source: "the-key" for source in KEY_SOURCES}
+        result = self.invoke(monkeypatch, tmp_path, {}, keys, command)
+        assert_exit(
+            result, 1, "configuration error: openai backend requires --endpoint, "
+            "ENTRODUCTION_ENDPOINT or OPENAI_BASE_URL",
+        )
+        assert calls == {}
+
+    def test_help_prints_no_key(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("ENTRODUCTION_API_KEY", "env-secret")
+        config = tmp_path / "http.conf"
+        config.write_text("api_key=file-secret\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--help"])
+        assert result.exit_code == 0, result.output
+        assert "ENTRODUCTION_API_KEY" in result.output
+        assert "secret" not in result.output
+
+
 class TestBlankStep:
     """A blank reply is a backend failure of its run, not a configuration error."""
 

@@ -142,6 +142,46 @@ class TestLoadDataset:
         assert extract_gold_answer("lots of money #### 1,234") == "1234"
         assert extract_gold_answer("plain") == "plain"
 
+    @pytest.mark.parametrize("kind, answer, gold", [
+        (TaskKind.BOOLEAN, True, "yes"),
+        (TaskKind.BOOLEAN, False, "no"),
+        (TaskKind.BOOLEAN, "Yes", "yes"),
+        (TaskKind.BOOLEAN, "False", "no"),
+        (TaskKind.BOOLEAN, "no", "no"),
+        (TaskKind.BOOLEAN, "It holds.\n#### TRUE", "yes"),
+        (TaskKind.NUMERIC_MATH, "1,234", "1234"),
+        (TaskKind.NUMERIC_MATH, "so 1,234 #### 1,234", "1234"),
+        (TaskKind.NUMERIC_MATH, 8.0, "8"),
+        (TaskKind.NUMERIC_MATH, -3.0, "-3"),
+        (TaskKind.NUMERIC_MATH, 2.5, "2.5"),
+        (TaskKind.NUMERIC_MATH, 42, "42"),
+        # Choice golds are only unwrapped.
+        (TaskKind.MULTIPLE_CHOICE, "#### C", "C"),
+        (TaskKind.MULTIPLE_CHOICE, True, "True"),
+    ])
+    def test_gold_read_as_predictions_are(self, tmp_path, kind, answer, gold):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": "1", "question": "q", "answer": answer, "options": ["x"]}])
+        assert load_dataset(path, kind, strict=True)[0].gold_answer == gold
+
+    @pytest.mark.parametrize("kind, answer, message", [
+        (TaskKind.BOOLEAN, "maybe", "boolean answer names neither yes nor no: 'maybe'"),
+        (TaskKind.BOOLEAN, 1, "boolean answer names neither yes nor no: 1"),
+        (TaskKind.NUMERIC_MATH, True, "numeric answer must not be a JSON boolean"),
+        (TaskKind.NUMERIC_MATH, False, "numeric answer must not be a JSON boolean"),
+    ])
+    def test_unreadable_gold_is_a_malformed_row(self, tmp_path, caplog, kind, answer, message):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [
+            {"id": "1", "question": "q", "answer": "yes"},
+            {"id": "2", "question": "q", "answer": answer},
+        ])
+        with caplog.at_level("WARNING"):
+            assert [task.id for task in load_dataset(path, kind)] == ["1"]
+        assert any(message in r.message for r in caplog.records)
+        with pytest.raises(DatasetError, match=f":2: .*{message}"):
+            load_dataset(path, kind, strict=True)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read"):
             load_dataset(tmp_path / "missing.jsonl", TaskKind.NUMERIC_MATH)
@@ -466,6 +506,22 @@ class TestRunBenchmark:
         assert steps and conclusions
         assert report.records[0].calls == report.mean_calls == len(requests)
         assert {(r.temperature, r.max_tokens) for r in requests} == {(0.2, 64)}
+
+    @pytest.mark.parametrize("kind, golds, answers", [
+        (TaskKind.BOOLEAN, [True, "No", "yes"], ["yes", "no", "yes"]),
+        (TaskKind.NUMERIC_MATH, ["1,234", 8.0, "#### 2,000"], ["1,234", "8", "2000"]),
+    ])
+    def test_golds_score_as_predictions_read(self, tmp_path, kind, golds, answers):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [
+            {"id": str(i), "question": f"q{i}", "answer": gold} for i, gold in enumerate(golds)
+        ])
+        backend = ScriptedBackend(marker_fixture_for(answers))
+        report = run_benchmark(
+            Method.ENTRODUCTION, load_dataset(path, kind, strict=True), backend,
+            run_config=self.config(),
+        )
+        assert report.accuracy == 1.0, report.records
 
     def test_choice_benchmark(self):
         task = TaskInstance(

@@ -604,14 +604,3 @@ class TestConstruction:
         name = next(iter(setting))
         with pytest.raises(ConfigurationError, match=name):
             OpenAIChatBackend(endpoint="http://h/v1", model="m", **setting)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("ENTRODUCTION_ENDPOINT", raising=False)
-        monkeypatch.delenv("OPENAI_BASE_URL", raising=False)
-        with pytest.raises(ConfigurationError, match="no endpoint"):
-            OpenAIChatBackend.from_env(model="m")
-        monkeypatch.setenv("ENTRODUCTION_ENDPOINT", "http://127.0.0.1:1/v1")
-        monkeypatch.setenv("ENTRODUCTION_API_KEY", "k")
-        backend = OpenAIChatBackend.from_env(model="m")
-        assert backend._url == "http://127.0.0.1:1/v1/chat/completions"
-        assert backend._headers["Authorization"] == "Bearer k"
