@@ -43,8 +43,9 @@ class TransportError(BackendError):
     """Network-level failure that survived the retry budget."""
 
 
-class ConfigurationError(BackendError):
-    """Non-retryable setup problem (bad endpoint, missing logprob support)."""
+class ConfigurationError(Exception):
+    """A setup problem (bad setting, wrong endpoint or key, no logprob
+    support): it ends the whole run or command, not one task."""
 
 
 class FinishReason(enum.Enum):

@@ -5,8 +5,10 @@ sampled tokens' log-probabilities and no alternatives, and parses them into
 token records. Network failures, 429 (rate limited) and 5xx responses are
 retried: after a numeric ``Retry-After`` header, capped at
 ``MAX_RETRY_AFTER_S``, or else after an exponential backoff with full jitter.
-Any other 4xx, or a response without logprob content, is a fatal
-configuration error because the whole method depends on it.
+A 401, 403 or 404 (wrong key or URL), or a response without logprob
+content, is a configuration error, which ends the whole command because
+every call would fail alike; any other 4xx (a prompt past the context
+window, say) is a backend error of its one call and is not retried.
 """
 
 from __future__ import annotations
@@ -172,9 +174,8 @@ class OpenAIChatBackend:
                     except ValueError as exc:
                         raise BackendError(f"bad JSON from endpoint: {exc}") from exc
                 if status < 500 and status != 429:
-                    raise ConfigurationError(
-                        f"endpoint rejected request ({status}): {response.text[:500]}"
-                    )
+                    error = ConfigurationError if status in (401, 403, 404) else BackendError
+                    raise error(f"endpoint rejected request ({status}): {response.text[:500]}")
                 last_error = TransportError(f"HTTP {status}: {response.text[:200]}")
                 wait = _retry_after(response)
             if attempt < self._max_attempts:

@@ -5,10 +5,11 @@ re-exports or inspects a saved trace. Settings resolve in order: the config
 dataclasses' defaults, then a key=value config file, then explicit flags;
 click converts file values with the same option types as flags. The HTTP
 endpoint and API key fall back to the environment (see ``build_backend``).
-Exit codes: 0 success, 1 configuration error (any bad flag or file value
-included), 2 backend failure, 3 dataset error. Commands raise
-``ConfigurationError``, ``BackendError`` or ``DatasetError``; the command
-group alone turns each into its message and exit code.
+Exit codes: 0 success, 1 configuration error (any bad flag or file value,
+or an endpoint answering 401, 403 or 404, included), 2 backend failure, 3
+dataset error. Commands raise ``ConfigurationError``, ``BackendError`` or
+``DatasetError``; the command group alone turns each into its message and
+exit code.
 """
 
 from __future__ import annotations

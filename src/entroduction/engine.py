@@ -324,9 +324,9 @@ class _Runner:
             self.rngs[chain_id] = chain_rng(self.config.policy.seed, chain_id)
         return self.rngs[chain_id]
 
-    def make_node(self, chain: Chain, key: tuple) -> tuple[ReasoningNode, str | None]:
-        """A node for ``chain`` from the reply at ``key``, and the answer it
-        states; a reply object is measured and read the first time only."""
+    def make_node(self, key: tuple) -> tuple[ReasoningNode, str | None]:
+        """A node from the reply at ``key``, and the answer it states; a
+        reply object is measured and read the first time only."""
         _, generation = self.calls.take(key)
         reading = self.readings.get(id(generation))
         if reading is None:
@@ -337,7 +337,6 @@ class _Runner:
             )
         node = ReasoningNode(
             id=self.structure.allocate_node_id(),
-            step_index=len(chain.nodes) + 1,
             text=generation.text,
             metrics=reading[1],
         )
@@ -379,7 +378,7 @@ class _Runner:
         self, chain: Chain, step_index: int, k: int, request: GenerationRequest
     ) -> None:
         """Commit the reply to ``request``, at key ``(step_index, k, 0)``, as the chain's step."""
-        node, answer = self.make_node(chain, (step_index, k, 0))
+        node, answer = self.make_node((step_index, k, 0))
 
         # Soft-stop grace steps, and the first two steps (no delta pair
         # exists yet), are unconditional deepens.
@@ -406,7 +405,7 @@ class _Runner:
         remaining = reason = None
         if action is Action.EXPAND:
             self.calls.submit(request, (step_index, k, 1))
-            sibling_node, sibling_answer = self.make_node(chain, (step_index, k, 1))
+            sibling_node, sibling_answer = self.make_node((step_index, k, 1))
             sibling_id = self.structure.expand(chain, node, sibling_node)
         else:
             chain.deepen(node)
@@ -490,8 +489,9 @@ def run_task(task: str, config: RunConfig, backend: Backend) -> RunResult:
     streams are keyed by (seed, chain id) and chains are committed in
     ascending id order, with chains created mid-iteration first acting in
     the next iteration. Calls made together change timing, not results. A
-    fatal backend error aborts the run and returns the partial trace with
-    ``aborted`` set; no worker thread outlives the call.
+    ``BackendError`` aborts the run and returns the partial trace with
+    ``aborted`` set; a ``ConfigurationError`` from a call is raised. No
+    worker thread outlives the call.
     A blank task raises ValueError before any backend call.
     """
     return _Runner(task, config, backend).run()

@@ -14,12 +14,12 @@ from .baselines import (
 from .benchmark import BenchmarkReport, TaskRecord, run_benchmark
 from .cleansing import (
     Position,
+    TaskKind,
     clean_answer,
     clean_answer_choice,
     clean_answer_numeric,
-    numeric_position_for,
 )
-from .datasets import DatasetError, TaskInstance, TaskKind, extract_gold_answer, load_dataset
+from .datasets import DatasetError, TaskInstance, extract_gold_answer, load_dataset
 from .trace import (
     export_chain_summary,
     export_trace,
@@ -46,7 +46,6 @@ __all__ = [
     "clean_answer",
     "clean_answer_choice",
     "clean_answer_numeric",
-    "numeric_position_for",
     "DatasetError",
     "TaskInstance",
     "TaskKind",

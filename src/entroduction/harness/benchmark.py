@@ -128,7 +128,8 @@ def run_benchmark(
     Within a task, independent backend calls go out together, up to the
     backend's ``max_in_flight``, which changes timing, not results (see
     ``engine.CallScheduler``). Tasks run one after another. A backend error
-    ends only its own task, recorded with ``error`` set.
+    ends only its own task, recorded with ``error`` set; a
+    ``ConfigurationError`` (a wrong endpoint or key) ends the benchmark.
     """
     if not tasks:
         raise ValueError("empty task list")

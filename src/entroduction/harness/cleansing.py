@@ -1,9 +1,11 @@
 """Answer cleansing: raw model text to a comparable answer string.
 
-Numeric predictions are cleansed by removing commas, extracting every number
-with a regex, and keeping the first or last one. Choice predictions match an
-option letter, an option's text as a substring, or normalize to yes/no for
-boolean questions. An empty result means no answer was found.
+The one reader of answers, for predictions and dataset golds alike. A numeric
+answer loses its commas and keeps the last number found by a regex. A choice
+answer becomes an option letter: a parenthesized letter, a bare letter in the
+label range, or the option whose text it contains. A boolean answer becomes
+"yes" or "no" from its first yes, no, true or false word. An empty result
+means no answer was found.
 """
 
 from __future__ import annotations
@@ -12,21 +14,27 @@ import enum
 import re
 from typing import Sequence
 
-from ..backends.base import ANSWER_MARKER
-from .datasets import OPTION_LABELS, TaskKind, normalize_boolean
-
 __all__ = [
+    "TaskKind",
     "Position",
     "clean_answer_numeric",
     "clean_answer_choice",
     "clean_answer",
-    "numeric_position_for",
 ]
 
 NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 PAREN_LETTER_RE = re.compile(r"\(([A-Za-z])\)")
 # Uppercase only: a lowercase bare "a" is usually the article, not a label.
 BARE_LETTER_RE = re.compile(r"\b([A-J])\b")
+YES_NO_RE = re.compile(r"\b(yes|no|true|false)\b", re.IGNORECASE)
+# One label per option of a choice task, so a choice task has at most ten.
+OPTION_LABELS = "ABCDEFGHIJ"
+
+
+class TaskKind(enum.Enum):
+    NUMERIC_MATH = "numeric"
+    MULTIPLE_CHOICE = "choice"
+    BOOLEAN = "boolean"
 
 
 class Position(enum.Enum):
@@ -43,17 +51,13 @@ def clean_answer_numeric(pred: str, position: Position = Position.LAST) -> str:
     return numbers[0] if position is Position.FIRST else numbers[-1]
 
 
-def numeric_position_for(pred: str) -> Position:
-    """Select FIRST when the prediction opens with an answer statement,
-    LAST otherwise (the final computation of a reasoning chain comes last)."""
-    if pred.strip().lower().startswith(ANSWER_MARKER):
-        return Position.FIRST
-    return Position.LAST
-
-
-def _is_boolean_options(options: Sequence[str]) -> bool:
-    lowered = {o.strip().lower() for o in options}
-    return bool(lowered) and lowered <= {"yes", "no", "true", "false"}
+def normalize_boolean(text: str) -> str:
+    """The first yes, no, true or false word in ``text``, in any case, as
+    "yes" or "no"; "" when there is none."""
+    match = YES_NO_RE.search(text)
+    if not match:
+        return ""
+    return "yes" if match.group(1).lower() in ("yes", "true") else "no"
 
 
 def clean_answer_choice(pred: str, options: Sequence[str]) -> str:
@@ -61,14 +65,11 @@ def clean_answer_choice(pred: str, options: Sequence[str]) -> str:
 
     Tries, in order: a parenthesized letter, a bare letter in the label
     range, then option-text substring containment (longest options first).
-    Yes/no option sets normalize to "yes"/"no" instead of a letter.
     """
     if not options:
         raise ValueError("options must be non-empty")
     if len(options) > len(OPTION_LABELS):
         raise ValueError(f"at most {len(OPTION_LABELS)} options can be labeled")
-    if _is_boolean_options(options):
-        return normalize_boolean(pred)
 
     labels = OPTION_LABELS[: len(options)]
     for regex in (PAREN_LETTER_RE, BARE_LETTER_RE):
@@ -85,9 +86,9 @@ def clean_answer_choice(pred: str, options: Sequence[str]) -> str:
 
 
 def clean_answer(pred: str, task_kind: TaskKind, options: Sequence[str] = ()) -> str:
-    """Dispatch cleansing by task kind; a number's position is picked by ``numeric_position_for``."""
+    """Dispatch cleansing by task kind; a numeric answer keeps its last number."""
     if task_kind is TaskKind.NUMERIC_MATH:
-        return clean_answer_numeric(pred, numeric_position_for(pred))
+        return clean_answer_numeric(pred)
     if task_kind is TaskKind.BOOLEAN:
         return normalize_boolean(pred)
     return clean_answer_choice(pred, options)

@@ -2,33 +2,25 @@
 
 Datasets are JSONL with fields ``id``, ``question``, and ``answer``; choice
 tasks add an ``options`` list of 1 to 10 strings. Grade-school math files that
-embed the gold answer after a ``####`` marker are unwrapped on load.
+embed the gold answer after a ``####`` marker are unwrapped on load, and every
+gold is then read by ``clean_answer``, the reader of predictions.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..inputs import parse_json, read_lines
+from .cleansing import NUMBER_RE, OPTION_LABELS, TaskKind, clean_answer
 
 __all__ = ["TaskKind", "TaskInstance", "DatasetError", "load_dataset", "extract_gold_answer"]
 
 logger = logging.getLogger(__name__)
 
 GOLD_MARKER_RE = re.compile(r"####\s*(.+)")
-YES_NO_RE = re.compile(r"\b(yes|no|true|false)\b", re.IGNORECASE)
-# One label per option of a choice task, so a choice task has at most ten.
-OPTION_LABELS = "ABCDEFGHIJ"
-
-
-class TaskKind(enum.Enum):
-    NUMERIC_MATH = "numeric"
-    MULTIPLE_CHOICE = "choice"
-    BOOLEAN = "boolean"
 
 
 class DatasetError(Exception):
@@ -63,33 +55,6 @@ def extract_gold_answer(answer: str) -> str:
     return answer.strip()
 
 
-def normalize_boolean(text: str) -> str:
-    """The first yes, no, true or false word in ``text``, in any case, as
-    "yes" or "no"; "" when there is none."""
-    match = YES_NO_RE.search(text)
-    if not match:
-        return ""
-    return "yes" if match.group(1).lower() in ("yes", "true") else "no"
-
-
-def _gold(answer, task_kind: TaskKind) -> str:
-    """The JSON value ``answer``, unwrapped and read as a prediction of
-    ``task_kind`` is, so the two compare as strings: a boolean gold as yes or
-    no, a numeric one without commas (an integral JSON number as an integer,
-    a JSON boolean rejected). A choice gold is only unwrapped."""
-    if task_kind is TaskKind.BOOLEAN:
-        if not (gold := normalize_boolean(extract_gold_answer(str(answer)))):
-            raise ValueError(f"boolean answer names neither yes nor no: {answer!r}")
-        return gold
-    if task_kind is TaskKind.MULTIPLE_CHOICE:
-        return extract_gold_answer(str(answer))
-    if isinstance(answer, bool):
-        raise ValueError("numeric answer must not be a JSON boolean")
-    if isinstance(answer, float) and answer.is_integer():
-        answer = int(answer)
-    return extract_gold_answer(str(answer)).replace(",", "")
-
-
 def _parse_row(obj: dict, task_kind: TaskKind) -> TaskInstance:
     missing = [
         key for key in ("id", "question", "answer") if key not in obj or obj[key] is None
@@ -101,13 +66,22 @@ def _parse_row(obj: dict, task_kind: TaskKind) -> TaskInstance:
     options = [] if obj.get("options") is None else obj["options"]
     if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
         raise ValueError("options must be a list of strings")
-    return TaskInstance(
+    answer = obj["answer"]
+    if isinstance(answer, float) and answer.is_integer():
+        answer = int(answer)
+    task = TaskInstance(
         id=str(obj["id"]),
         question=str(obj["question"]),
-        gold_answer=_gold(obj["answer"], task_kind),
+        gold_answer=extract_gold_answer(str(answer)),
         task_kind=task_kind,
         options=tuple(options),
     )
+    # The row's shape, its options included, is checked before its gold is read.
+    gold = clean_answer(task.gold_answer, task_kind, task.options)
+    numbers = NUMBER_RE.findall(task.gold_answer.replace(",", ""))
+    if not gold or task_kind is TaskKind.NUMERIC_MATH and len(numbers) != 1:
+        raise ValueError(f"{task_kind.value} gold reads as no single answer: {obj['answer']!r}")
+    return replace(task, gold_answer=gold)
 
 
 def load_dataset(

@@ -34,13 +34,10 @@ class ReasoningNode:
     """One sentence-level reasoning step inside a chain."""
 
     id: int
-    step_index: int
     text: str
     metrics: StepMetrics
 
     def __post_init__(self) -> None:
-        if self.step_index < 1:
-            raise ValueError("step_index must be >= 1")
         if not self.text:
             raise ValueError("node text must be non-empty")
 
@@ -75,10 +72,6 @@ class Chain:
         """Append the next node; allowed while active or stop-pending."""
         if self.finalized:
             raise ValueError("chain finalized")
-        if node.step_index != len(self.nodes) + 1:
-            raise ValueError(
-                f"expected step_index {len(self.nodes) + 1}, got {node.step_index}"
-            )
         self.nodes.append(node)
 
     def finalize(self) -> None:
@@ -140,9 +133,6 @@ class ReasoningStructure:
             raise ValueError("can only expand an active chain")
         if len(self.chains) >= self.max_chains:
             raise ValueError(f"chain budget of {self.max_chains} exhausted")
-        expected = len(chain.nodes) + 1
-        if node_a.step_index != expected or node_b.step_index != expected:
-            raise ValueError(f"both fork nodes must have step_index {expected}")
         prefix = list(chain.nodes)
         chain.deepen(node_a)
         sibling = self._allocate_chain(parent=(chain.id, len(prefix)))

@@ -367,6 +367,45 @@ class TestBenchCommand:
         assert result.exit_code == 0, result.output
         assert "accuracy: 1.0000" in result.output
 
+    @pytest.mark.parametrize("status", [401, 404])
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_rejected_key_or_url_ends_the_command(self, tmp_path, command, status):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": str(i), "question": "q?", "answer": "4"} for i in range(3)])
+        args = ["run", "q"] if command == "run" else ["bench", "--dataset", str(dataset)]
+        with ChatCompletionsMock([(status, {"error": "rejected"})]) as mock:
+            result = CliRunner().invoke(
+                main, args + ["--backend", "openai", "--endpoint", mock.endpoint, "--model", "m"]
+            )
+        assert_exit(result, 1, f"configuration error: endpoint rejected request ({status})")
+        assert len(mock.requests) == 1
+
+    def test_bad_request_fails_only_its_task(self, tmp_path):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": str(i), "question": "q?", "answer": "4"} for i in range(3)])
+        report_path = tmp_path / "report.json"
+        with ChatCompletionsMock([(400, {"error": "prompt too long"})]) as mock:
+            result = CliRunner().invoke(
+                main,
+                ["bench", "--dataset", str(dataset), "--backend", "openai",
+                 "--endpoint", mock.endpoint, "--model", "m", "--out", str(report_path)],
+            )
+        assert result.exit_code == 0, result.output
+        assert "tasks with backend failures: 3" in result.output
+        # One request per task: a 400 is not retried.
+        assert len(mock.requests) == 3
+        records = json.loads(report_path.read_text())["records"]
+        assert all("endpoint rejected request (400)" in r["error"] for r in records)
+
+    def test_unreadable_gold_is_dataset_error_under_strict(self, tmp_path):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "which?", "answer": "Z",
+                                 "options": ["x", "y"]}])
+        result = CliRunner().invoke(
+            main, ["bench", "--dataset", str(dataset), "--task-kind", "choice", "--strict"]
+        )
+        assert_exit(result, 3, "choice gold reads as no single answer: 'Z'")
+
     def test_baseline_method(self, tmp_path):
         dataset = tmp_path / "tasks.jsonl"
         write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "1"}])

@@ -325,14 +325,13 @@ class TestReadOnce:
         def one_run(backend):
             measured.clear()
             result = run_task("q", config, backend)
-            nodes = [node for chain in result.structure.chains for node in chain.nodes]
-            return result, len(measured), nodes
+            return result, len(measured)
 
-        shared, shared_measured, nodes = one_run(SyntheticBackend(synthetic_schedule(rows)))
-        fresh, fresh_measured, _ = one_run(FreshCopies(SyntheticBackend(synthetic_schedule(rows))))
+        shared, shared_measured = one_run(SyntheticBackend(synthetic_schedule(rows)))
+        fresh, fresh_measured = one_run(FreshCopies(SyntheticBackend(synthetic_schedule(rows))))
         # The synthetic backend returns one object per depth, to every chain and sibling.
         assert len(shared.structure.chains) > 1
-        assert shared_measured == len({node.step_index for node in nodes}) < shared.total_steps
+        assert shared_measured == shared.structure.depth() < shared.total_steps
         assert fresh_measured == fresh.total_steps
         assert [trace_event_to_dict(e) for e in shared.trace] == [
             trace_event_to_dict(e) for e in fresh.trace

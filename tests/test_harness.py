@@ -30,7 +30,6 @@ from entroduction.harness import (
     extract_gold_answer,
     load_dataset,
     math_params,
-    numeric_position_for,
     read_trace,
     run_benchmark,
     run_chain_baseline,
@@ -155,26 +154,46 @@ class TestLoadDataset:
         (TaskKind.NUMERIC_MATH, -3.0, "-3"),
         (TaskKind.NUMERIC_MATH, 2.5, "2.5"),
         (TaskKind.NUMERIC_MATH, 42, "42"),
-        # Choice golds are only unwrapped.
-        (TaskKind.MULTIPLE_CHOICE, "#### C", "C"),
-        (TaskKind.MULTIPLE_CHOICE, True, "True"),
+        (TaskKind.NUMERIC_MATH, "18 apples", "18"),
+        # A choice gold reads as an option letter, through the option's text too.
+        (TaskKind.MULTIPLE_CHOICE, "#### B", "B"),
+        (TaskKind.MULTIPLE_CHOICE, True, "B"),
     ])
     def test_gold_read_as_predictions_are(self, tmp_path, kind, answer, gold):
         path = tmp_path / "d.jsonl"
-        write_jsonl(path, [{"id": "1", "question": "q", "answer": answer, "options": ["x"]}])
+        write_jsonl(path, [{"id": "1", "question": "q", "answer": answer, "options": ["x", "True"]}])
         assert load_dataset(path, kind, strict=True)[0].gold_answer == gold
 
+    @pytest.mark.parametrize("answer, options, gold", [
+        ("(B)", ["x", "y"], "B"),
+        ("y", ["x", "y"], "B"),
+        ("#### B", ["x", "y"], "B"),
+        ("A", ["Yes", "No"], "A"),
+        ("Yes", ["Yes", "No"], "A"),
+        ("no", ["Yes", "No"], "B"),
+    ])
+    def test_choice_gold_reads_as_an_option_letter(self, tmp_path, answer, options, gold):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": "1", "question": "q", "answer": answer, "options": options}])
+        assert load_dataset(path, TaskKind.MULTIPLE_CHOICE, strict=True)[0].gold_answer == gold
+
     @pytest.mark.parametrize("kind, answer, message", [
-        (TaskKind.BOOLEAN, "maybe", "boolean answer names neither yes nor no: 'maybe'"),
-        (TaskKind.BOOLEAN, 1, "boolean answer names neither yes nor no: 1"),
-        (TaskKind.NUMERIC_MATH, True, "numeric answer must not be a JSON boolean"),
-        (TaskKind.NUMERIC_MATH, False, "numeric answer must not be a JSON boolean"),
+        (TaskKind.BOOLEAN, "maybe", "boolean gold reads as no single answer: 'maybe'"),
+        (TaskKind.BOOLEAN, 1, "boolean gold reads as no single answer: 1"),
+        (TaskKind.NUMERIC_MATH, True, "numeric gold reads as no single answer: True"),
+        (TaskKind.NUMERIC_MATH, False, "numeric gold reads as no single answer: False"),
+        (TaskKind.NUMERIC_MATH, "abc", "numeric gold reads as no single answer: 'abc'"),
+        # More than one number: neither may score by its last number alone.
+        (TaskKind.NUMERIC_MATH, "3/4", "numeric gold reads as no single answer: '3/4'"),
+        (TaskKind.NUMERIC_MATH, "1e3", "numeric gold reads as no single answer: '1e3'"),
+        (TaskKind.MULTIPLE_CHOICE, "Z", "choice gold reads as no single answer: 'Z'"),
     ])
     def test_unreadable_gold_is_a_malformed_row(self, tmp_path, caplog, kind, answer, message):
+        valid = {TaskKind.BOOLEAN: "yes", TaskKind.NUMERIC_MATH: "4", TaskKind.MULTIPLE_CHOICE: "A"}
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [
-            {"id": "1", "question": "q", "answer": "yes"},
-            {"id": "2", "question": "q", "answer": answer},
+            {"id": "1", "question": "q", "answer": valid[kind], "options": ["x", "y"]},
+            {"id": "2", "question": "q", "answer": answer, "options": ["x", "y"]},
         ])
         with caplog.at_level("WARNING"):
             assert [task.id for task in load_dataset(path, kind)] == ["1"]
@@ -263,9 +282,9 @@ class TestNumericCleansing:
             once = clean_answer_numeric(text, position)
             assert clean_answer_numeric(once, position) == once
 
-    def test_position_heuristic(self):
-        assert numeric_position_for("The answer is 5 because 2+3") is Position.FIRST
-        assert numeric_position_for("2+3 gives the result") is Position.LAST
+    def test_numeric_answer_keeps_its_last_number(self):
+        assert clean_answer("5 because 2+3", TaskKind.NUMERIC_MATH) == "3"
+        assert clean_answer("2+3 gives 5", TaskKind.NUMERIC_MATH) == "5"
 
 
 class TestChoiceCleansing:
@@ -284,9 +303,10 @@ class TestChoiceCleansing:
         assert clean_answer_choice("hard to say", self.OPTIONS) == ""
 
     def test_boolean_normalization(self):
-        assert clean_answer_choice("Yes, because...", ["yes", "no"]) == "yes"
-        assert clean_answer_choice("Definitely not. No.", ["yes", "no"]) == "no"
-        assert clean_answer_choice("It is true.", ["yes", "no"]) == "yes"
+        # Yes/no options are options like any other: read as their letters.
+        assert clean_answer_choice("Yes, because...", ["yes", "no"]) == "A"
+        assert clean_answer_choice("Definitely not. No.", ["yes", "no"]) == "B"
+        assert clean_answer_choice("It is true.", ["yes", "no"]) == ""
 
     def test_boolean_task_kind(self):
         assert clean_answer("Yes, because...", TaskKind.BOOLEAN) == "yes"
@@ -407,6 +427,12 @@ class TestRunBenchmark:
         assert report.accuracy == 0.75
         assert report.records[3].predicted == "999"
         assert not report.records[3].correct
+
+    def test_yes_no_options_score_by_letter(self):
+        task = TaskInstance("c1", "is it?", "A", TaskKind.MULTIPLE_CHOICE, ("Yes", "No"))
+        backend = ScriptedBackend([make_step("The answer is yes", A60)])
+        report = run_benchmark(Method.ENTRODUCTION, [task], backend, run_config=self.config())
+        assert (report.records[0].predicted, report.accuracy) == ("A", 1.0)
 
     def test_empty_task_list(self):
         backend = ScriptedBackend([])

@@ -16,22 +16,19 @@ from entroduction.structure import (
 )
 
 
-def make_node(structure, chain, text="a step") -> ReasoningNode:
+def make_node(structure, text="a step") -> ReasoningNode:
     return ReasoningNode(
         id=structure.allocate_node_id(),
-        step_index=len(chain.nodes) + 1,
         text=text,
         metrics=compute_step_metrics(make_records(UNIFORM4)),
     )
 
 
-def fork_nodes(structure, chain):
+def fork_nodes(structure):
     metrics = compute_step_metrics(make_records(UNIFORM4))
-    step = len(chain.nodes) + 1
     return tuple(
         ReasoningNode(
             id=structure.allocate_node_id(),
-            step_index=step,
             text=f"branch {side}",
             metrics=metrics,
         )
@@ -68,41 +65,33 @@ class TestDeepen:
     def test_appends(self):
         s = create_structure("q", 4)
         chain = s.chains[0]
-        chain.deepen(make_node(s, chain))
-        chain.deepen(make_node(s, chain))
+        chain.deepen(make_node(s))
+        chain.deepen(make_node(s))
         assert len(chain) == 2
-        assert [n.step_index for n in chain.nodes] == [1, 2]
+        assert [n.id for n in chain.nodes] == [0, 1]
 
     def test_first_node(self):
         s = create_structure("q", 4)
         chain = s.chains[0]
-        chain.deepen(make_node(s, chain))
+        chain.deepen(make_node(s))
         assert len(chain) == 1
 
     def test_finalized_rejects_append(self):
         s = create_structure("q", 4)
         chain = s.chains[0]
-        node = make_node(s, chain)
+        node = make_node(s)
         chain.finalize()
         with pytest.raises(ValueError, match="chain finalized"):
             chain.deepen(node)
-
-    def test_wrong_step_index_rejected(self):
-        s = create_structure("q", 4)
-        chain = s.chains[0]
-        bad = make_node(s, chain)
-        chain.deepen(make_node(s, chain))
-        with pytest.raises(ValueError, match="step_index"):
-            chain.deepen(bad)
 
 
 class TestExpand:
     def test_shares_prefix_by_identity(self):
         s = create_structure("q", 4)
         chain = s.chains[0]
-        chain.deepen(make_node(s, chain, "n1"))
-        chain.deepen(make_node(s, chain, "n2"))
-        node_a, node_b = fork_nodes(s, chain)
+        chain.deepen(make_node(s, "n1"))
+        chain.deepen(make_node(s, "n2"))
+        node_a, node_b = fork_nodes(s)
         new_id = s.expand(chain, node_a, node_b)
         assert new_id == 1
         sibling = s.chains[1]
@@ -116,9 +105,9 @@ class TestExpand:
         # Degrading is the engine's call: at the budget the structure refuses.
         s = create_structure("q", 1)
         chain = s.chains[0]
-        chain.deepen(make_node(s, chain))
+        chain.deepen(make_node(s))
         nodes = list(chain.nodes)
-        node_a, node_b = fork_nodes(s, chain)
+        node_a, node_b = fork_nodes(s)
         with pytest.raises(ValueError, match="budget"):
             s.expand(chain, node_a, node_b)
         assert s.chains == [chain]
@@ -128,7 +117,7 @@ class TestExpand:
     def test_expand_empty_chain(self):
         s = create_structure("q", 4)
         chain = s.chains[0]
-        node_a, node_b = fork_nodes(s, chain)
+        node_a, node_b = fork_nodes(s)
         new_id = s.expand(chain, node_a, node_b)
         assert new_id is not None
         assert len(s.chains[0]) == 1 and len(s.chains[1]) == 1
@@ -137,7 +126,7 @@ class TestExpand:
     def test_expand_requires_active(self):
         s = create_structure("q", 4)
         chain = s.chains[0]
-        node_a, node_b = fork_nodes(s, chain)
+        node_a, node_b = fork_nodes(s)
         chain.finalize()
         with pytest.raises(ValueError, match="active"):
             s.expand(chain, node_a, node_b)
@@ -150,7 +139,7 @@ class TestFinalize:
         chain.finalize()
         assert chain.status is ChainStatus.FINALIZED
         with pytest.raises(ValueError, match="chain finalized"):
-            chain.deepen(make_node(s, chain))
+            chain.deepen(make_node(s))
 
     def test_idempotent(self):
         chain = Chain(id=0)
@@ -165,12 +154,12 @@ class TestDepth:
         lengths = [3, 5, 2]
         chain = s.chains[0]
         for _ in range(lengths[0]):
-            chain.deepen(make_node(s, chain))
-        node_a, node_b = fork_nodes(s, chain)
+            chain.deepen(make_node(s))
+        node_a, node_b = fork_nodes(s)
         s.expand(chain, node_a, node_b)
         second = s.chains[1]
         while len(second) < lengths[1]:
-            second.deepen(make_node(s, second))
+            second.deepen(make_node(s))
         assert s.depth() == 5
 
     def test_fresh_is_zero(self):
@@ -180,8 +169,8 @@ class TestDepth:
         s = create_structure("q", 8)
         chain = s.chains[0]
         for _ in range(4):
-            chain.deepen(make_node(s, chain))
-        node_a, node_b = fork_nodes(s, chain)
+            chain.deepen(make_node(s))
+        node_a, node_b = fork_nodes(s)
         s.expand(chain, node_a, node_b)
         assert s.depth() == 5
 
@@ -201,13 +190,13 @@ class TestRandomizedInvariants:
                 chain = rng.choice(live)
                 op = rng.random()
                 if op < 0.55:
-                    chain.deepen(make_node(s, chain))
+                    chain.deepen(make_node(s))
                 elif op < 0.85:
                     # As the engine does: an expand at the budget is a deepen.
                     if len(s.chains) >= max_chains:
-                        chain.deepen(make_node(s, chain))
+                        chain.deepen(make_node(s))
                     elif chain.status is ChainStatus.ACTIVE:
-                        node_a, node_b = fork_nodes(s, chain)
+                        node_a, node_b = fork_nodes(s)
                         s.expand(chain, node_a, node_b)
                 else:
                     chain.finalize()
