@@ -12,7 +12,7 @@ import enum
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Protocol
 
@@ -49,10 +49,9 @@ class ConfigurationError(Exception):
 
 
 class FinishReason(enum.Enum):
-    """How the source ended a step; backends set no ANSWER_MARKER, older fixtures carry it."""
+    """Labels a caller may pass as ``StepGeneration.finish_reason``; nothing reads them."""
 
     STOP_SEQUENCE = "stop_sequence"
-    LENGTH = "length"
     ANSWER_MARKER = "answer_marker"
 
 
@@ -82,11 +81,12 @@ class GenerationRequest:
 
 @dataclass(frozen=True)
 class StepGeneration:
-    """One generated step: its text, token evidence, and why it ended."""
+    """One generated step: its text and token evidence. ``finish_reason`` is
+    accepted and ignored: no backend sets it and it is not compared."""
 
     text: str
     tokens: tuple[TokenRecord, ...]
-    finish_reason: FinishReason
+    finish_reason: object = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))

@@ -18,6 +18,7 @@ import math
 import random
 import threading
 import time
+from urllib.parse import urlsplit
 
 import requests
 
@@ -25,7 +26,6 @@ from ..metrics import TokenRecord
 from .base import (
     ConfigurationError,
     BackendError,
-    FinishReason,
     GenerationRequest,
     StepGeneration,
     TransportError,
@@ -58,7 +58,8 @@ def _retry_after(response: requests.Response) -> float | None:
 class OpenAIChatBackend:
     """Chat-completions client that returns token-level logprob evidence.
 
-    ``endpoint`` is the API base (".../v1") or a full chat-completions URL.
+    ``endpoint`` is the API base (".../v1") or a full chat-completions URL;
+    one that is not an http(s) URL with a host is a ``ConfigurationError``.
     Both it and ``api_key`` are used as given; the backend reads neither
     from the environment (the CLI resolves both). In-flight requests are
     bounded by a semaphore of ``max_in_flight``, so many chains and tasks
@@ -85,8 +86,13 @@ class OpenAIChatBackend:
         retry_backoff: float = 0.5,
         session: requests.Session | None = None,
     ):
-        if not endpoint:
-            raise ConfigurationError("endpoint is required")
+        try:
+            parts = urlsplit(endpoint)
+            parts.port  # a port that is not a number in range raises ValueError
+        except ValueError as exc:
+            raise ConfigurationError(f"bad endpoint {endpoint!r}: {exc}") from exc
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigurationError(f"endpoint must be an http(s) URL with a host, got {endpoint!r}")
         if not model:
             raise ConfigurationError("model is required")
         if max_in_flight < 1:
@@ -218,9 +224,4 @@ class OpenAIChatBackend:
         # The token texts are authoritative: stop-sequence trimming can make
         # message.content disagree with the logprob stream.
         text = "".join(t.text for t in tokens)
-        finish = (
-            FinishReason.LENGTH
-            if choice.get("finish_reason") == "length"
-            else FinishReason.STOP_SEQUENCE
-        )
-        return StepGeneration(text=text, tokens=tokens, finish_reason=finish)
+        return StepGeneration(text=text, tokens=tokens)

@@ -2,13 +2,13 @@
 
 Fixtures are JSONL, one step per line:
 
-    {"text": "...", "finish_reason": "stop_sequence",
-     "tokens": [{"text": "...", "logprob": -0.3}, ...]}
+    {"text": "...", "tokens": [{"text": "...", "logprob": -0.3}, ...]}
 
 Texts must be strings; logprobs are read by ``json_logprob``, so one of
-rounding size above 0 reads as 0. A token's ``top`` key, written by older
-versions, is ignored. Playback is strictly in file order and mutation-free,
-so two runs over the same fixture are identical.
+rounding size above 0 reads as 0. A step's ``finish_reason`` and a token's
+``top`` key, which older versions wrote, may carry any value: both are
+ignored and neither is written. Playback is strictly in file order and
+mutation-free, so two runs over the same fixture are identical.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from ..inputs import parse_json, read_lines
 from ..metrics import TokenRecord
 from .base import (
-    BackendError, ConfigurationError, FinishReason, GenerationRequest, StepGeneration, json_logprob,
+    BackendError, ConfigurationError, GenerationRequest, StepGeneration, json_logprob,
 )
 
 __all__ = ["ScriptedBackend", "load_fixture", "dump_fixture"]
@@ -37,14 +37,12 @@ def step_from_json(obj: dict) -> StepGeneration:
     return StepGeneration(
         text=obj["text"],
         tokens=tuple(_token_from_json(t) for t in obj["tokens"]),
-        finish_reason=FinishReason(obj["finish_reason"]),
     )
 
 
 def step_to_json(step: StepGeneration) -> dict:
     return {
         "text": step.text,
-        "finish_reason": step.finish_reason.value,
         "tokens": [{"text": t.text, "logprob": t.chosen_logprob} for t in step.tokens],
     }
 

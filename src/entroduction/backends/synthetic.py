@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..metrics import TokenRecord, _entropy_terms
-from .base import FinishReason, GenerationRequest, StepGeneration
+from .base import GenerationRequest, StepGeneration
 
 __all__ = ["SyntheticStep", "SyntheticBackend", "logits_for_normalized_entropy"]
 
@@ -184,7 +184,5 @@ class SyntheticBackend:
             head = shared.get(pieces[0]) if first == rest else None
             tokens = (head or TokenRecord(pieces[0], first), *map(shared.__getitem__, pieces[1:]))
         # Racing builds of an index are equal; every caller gets the first stored.
-        step = StepGeneration(
-            text="".join(pieces), tokens=tokens, finish_reason=FinishReason.STOP_SEQUENCE
-        )
+        step = StepGeneration(text="".join(pieces), tokens=tokens)
         return self._steps.setdefault(index, step)

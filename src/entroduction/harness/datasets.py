@@ -67,6 +67,8 @@ def _parse_row(obj: dict, task_kind: TaskKind) -> TaskInstance:
     if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
         raise ValueError("options must be a list of strings")
     answer = obj["answer"]
+    if isinstance(answer, (list, dict)):
+        raise ValueError(f"answer must be a string or a number, got {answer!r}")
     if isinstance(answer, float) and answer.is_integer():
         answer = int(answer)
     task = TaskInstance(

@@ -81,20 +81,23 @@ def read_trace(source: str | Path | IO[str]) -> list[dict]:
 
 
 def export_chain_summary(result: RunResult, sink: IO[str]) -> None:
-    """Write a per-chain CSV to the open text file ``sink``: length, lifecycle
-    outcome, lineage, answer, confidence."""
+    """Write a per-chain CSV to the open text file ``sink``: length, why the chain
+    ended (its last event's ``finalize_reason``, else ``aborted`` if the run
+    failed, else ``budget``), lineage, answer, confidence."""
     writer = csv.writer(sink, lineterminator="\n")  # line ends like every other output
     writer.writerow(
         ["chain_id", "length", "status", "parent_chain", "shared_prefix",
          "final_answer", "mean_norm_entropy"]
     )
+    ended = {event.chain_id: event.finalize_reason for event in result.trace}
+    unended = "aborted" if result.aborted else "budget"
     for chain in result.structure.chains:
         parent_chain, shared = ("", "") if chain.parent is None else chain.parent
         writer.writerow(
             [
                 chain.id,
                 len(chain.nodes),
-                chain.status.value,
+                ended.get(chain.id) or unended,
                 parent_chain,
                 shared,
                 chain.final_answer or "",

@@ -23,8 +23,8 @@ thread-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import exp, fsum, inf, isfinite, log2
+from dataclasses import dataclass, field
+from math import exp, fsum, isfinite, log2
 from typing import Iterable
 
 __all__ = [
@@ -43,14 +43,14 @@ __all__ = [
 class TokenRecord:
     """One generated token with its log-probability evidence.
 
-    ``chosen_logprob`` is the natural-log probability of the sampled token.
-    ``top_alternatives`` optionally holds the top-K per-position alternatives
-    as (token, logprob) pairs, sorted by descending logprob.
+    ``chosen_logprob`` is the natural-log probability of the sampled token,
+    the only evidence the metrics read. ``top_alternatives`` is accepted and
+    ignored: it is neither checked nor compared.
     """
 
     text: str
     chosen_logprob: float
-    top_alternatives: tuple[tuple[str, float], ...] | None = None
+    top_alternatives: object = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.text, str):
@@ -59,19 +59,6 @@ class TokenRecord:
             raise ValueError("non-finite logit")
         if self.chosen_logprob > 0.0:
             raise ValueError(f"chosen_logprob must be <= 0, got {self.chosen_logprob}")
-        if self.top_alternatives is None:
-            return
-        alts = tuple((str(t), float(lp)) for t, lp in self.top_alternatives)
-        object.__setattr__(self, "top_alternatives", alts)
-        # One pass: a positive logprob raises at once, disorder after the scan.
-        unsorted, previous = False, inf
-        for _, lp in alts:
-            if lp > 0.0:
-                raise ValueError(f"alternative logprob must be <= 0, got {lp}")
-            unsorted = unsorted or lp > previous
-            previous = lp
-        if unsorted:
-            raise ValueError("alternatives must be sorted by descending logprob")
 
 
 @dataclass(frozen=True)

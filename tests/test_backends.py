@@ -222,6 +222,19 @@ class TestScriptedBackend:
             {"text": "x", "logprob": -0.2}
         ]
 
+    @pytest.mark.parametrize("finish", [{}, {"finish_reason": "content_filter"},
+                                        {"finish_reason": None}, {"finish_reason": [1]}])
+    def test_finish_reason_optional_and_ignored(self, tmp_path, finish):
+        path = tmp_path / "f.jsonl"
+        line = {"text": "x", **finish, "tokens": [{"text": "x", "logprob": -0.2}]}
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        assert load_fixture(path) == [StepGeneration("x", (TokenRecord("x", -0.2),))]
+
+    def test_finish_reason_not_written(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        dump_fixture([make_step("The answer is 9", A30, FinishReason.ANSWER_MARKER)], path)
+        assert "finish_reason" not in json.loads(path.read_text(encoding="utf-8"))
+
     def test_unreadable_fixture_is_configuration_error(self, tmp_path):
         path = tmp_path / "fixture.jsonl"
         path.write_bytes(NOT_UTF8)
@@ -328,8 +341,6 @@ class TestSyntheticBackend:
         )
         step = backend.generate_step(request())
         assert "".join(t.text for t in step.tokens) == step.text
-        # The engine, not the backend, decides what states an answer.
-        assert step.finish_reason is FinishReason.STOP_SEQUENCE
         assert detect_answer_marker(step.text) == "4"
 
     @pytest.mark.parametrize("n", [2, 8, 32, 128])

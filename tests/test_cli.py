@@ -242,6 +242,21 @@ class TestHttpSettings:
         )
         assert calls == {}
 
+    @pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "localhost/v1", "http://"])
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_endpoint_not_an_http_url_is_config_error(
+        self, monkeypatch, tmp_path, calls, command, endpoint
+    ):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": str(i), "question": "q", "answer": "4"} for i in (1, 2)])
+        args = ("run", "q") if command == "run" else ("bench", "--dataset", str(dataset))
+        result = self.invoke(monkeypatch, tmp_path, {"flag": endpoint}, {}, args)
+        assert_exit(
+            result, 1,
+            f"configuration error: endpoint must be an http(s) URL with a host, got {endpoint!r}",
+        )
+        assert calls == {}
+
     def test_help_prints_no_key(self, monkeypatch, tmp_path):
         monkeypatch.setenv("ENTRODUCTION_API_KEY", "env-secret")
         config = tmp_path / "http.conf"
@@ -405,6 +420,13 @@ class TestBenchCommand:
             main, ["bench", "--dataset", str(dataset), "--task-kind", "choice", "--strict"]
         )
         assert_exit(result, 3, "choice gold reads as no single answer: 'Z'")
+
+    @pytest.mark.parametrize("answer", [[7], {"x": "7"}])
+    def test_non_scalar_gold_is_dataset_error_under_strict(self, tmp_path, answer):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "q", "answer": answer}])
+        result = CliRunner().invoke(main, ["bench", "--dataset", str(dataset), "--strict"])
+        assert_exit(result, 3, f"answer must be a string or a number, got {answer!r}")
 
     def test_baseline_method(self, tmp_path):
         dataset = tmp_path / "tasks.jsonl"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import A60, EXPAND_SCHEDULE, NOT_UTF8, UNIFORM4, make_step, synthetic_schedule
+from helpers import (
+    A60, EXPAND_SCHEDULE, NOT_UTF8, STOP_SCHEDULE, UNIFORM4, make_step, synthetic_schedule,
+)
 from entroduction.backends import ScriptedBackend, SyntheticBackend, SyntheticStep
 from entroduction.engine import RunConfig
 from entroduction.harness import (
@@ -199,6 +202,24 @@ class TestLoadDataset:
             assert [task.id for task in load_dataset(path, kind)] == ["1"]
         assert any(message in r.message for r in caplog.records)
         with pytest.raises(DatasetError, match=f":2: .*{message}"):
+            load_dataset(path, kind, strict=True)
+
+    @pytest.mark.parametrize("kind, answer", [
+        (TaskKind.NUMERIC_MATH, [7]),
+        (TaskKind.NUMERIC_MATH, {"x": "7"}),
+        (TaskKind.BOOLEAN, {"x": "yes"}),
+    ])
+    def test_non_scalar_gold_is_a_malformed_row(self, tmp_path, caplog, kind, answer):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [
+            {"id": "1", "question": "q", "answer": "4" if kind is TaskKind.NUMERIC_MATH else "yes"},
+            {"id": "2", "question": "q", "answer": answer},
+        ])
+        message = f"answer must be a string or a number, got {answer!r}"
+        with caplog.at_level("WARNING"):
+            assert [task.id for task in load_dataset(path, kind)] == ["1"]
+        assert any(message in r.message for r in caplog.records)
+        with pytest.raises(DatasetError, match=":2: "):
             load_dataset(path, kind, strict=True)
 
     def test_unreadable_file(self, tmp_path):
@@ -616,6 +637,29 @@ class TestTraceExport:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3  # header + two chains
         assert lines[0].startswith("chain_id,")
+
+    @pytest.mark.parametrize("steps, stop_k, statuses", [
+        ([SyntheticStep(logprobs=UNIFORM4, text="think"),
+          SyntheticStep(logprobs=A60, text="The answer is 4")], 1, ["answer_marker"]),
+        (synthetic_schedule(STOP_SCHEDULE), 1, ["stop"]),
+        (synthetic_schedule(STOP_SCHEDULE), 2, ["stop_grace_exhausted"]),
+        (synthetic_schedule(EXPAND_SCHEDULE), 1, ["budget", "budget"]),
+        ([make_step("one", UNIFORM4)], 1, ["aborted"]),  # the fixture runs out
+    ], ids=["answer", "stop", "grace", "budget", "backend error"])
+    def test_chain_summary_status_says_why_each_chain_ended(
+        self, tmp_path, steps, stop_k, statuses
+    ):
+        from entroduction.engine import run_task
+
+        scripted = not isinstance(steps[0], SyntheticStep)
+        backend = ScriptedBackend(steps) if scripted else SyntheticBackend(steps)
+        config = RunConfig(max_steps=4, elicit_final_answer=False,
+                           policy=PolicyConfig(epsilon=0.0, stop_k=stop_k))
+        result = run_task("q", config, backend)
+        path = self.export_to(tmp_path / "chains.csv", export_chain_summary, result)
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [row[2] for row in rows] == statuses
 
     def test_summarize(self):
         result = self.run_simple()

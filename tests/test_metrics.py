@@ -410,25 +410,11 @@ class TestTokenRecordValidation:
         with pytest.raises(ValueError):
             TokenRecord("x", 0.1)
 
-    def test_unsorted_alternatives_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            TokenRecord("x", -0.5, top_alternatives=(("a", -2.0), ("b", -1.0)))
-
-    def test_positive_alternative_rejected(self):
-        with pytest.raises(ValueError):
-            TokenRecord("x", -0.5, top_alternatives=(("a", 0.2),))
-
     @pytest.mark.parametrize(
         "chosen, alternatives, message",
         [
             (0.1, None, "chosen_logprob must be <= 0, got 0.1"),
             (float("nan"), None, "non-finite logit"),
-            (-0.5, (("a", 0.2),), "alternative logprob must be <= 0, got 0.2"),
-            (-0.5, (("a", -2.0), ("b", -1.0)),
-             "alternatives must be sorted by descending logprob"),
-            # A positive alternative is reported before an earlier disorder.
-            (-0.5, (("a", -2.0), ("b", -1.0), ("c", 0.5)),
-             "alternative logprob must be <= 0, got 0.5"),
         ],
     )
     def test_error_messages(self, chosen, alternatives, message):
@@ -436,9 +422,14 @@ class TestTokenRecordValidation:
             TokenRecord("x", chosen, top_alternatives=alternatives)
         assert str(raised.value) == message
 
-    def test_list_alternatives_and_int_logprobs_converted(self):
-        record = TokenRecord("x", -1, top_alternatives=[["a", -1], ("b", -2.5)])
-        assert record.top_alternatives == (("a", -1.0), ("b", -2.5))
-        assert type(record.top_alternatives) is tuple
-        assert all(type(pair) is tuple for pair in record.top_alternatives)
-        assert type(record.top_alternatives[0][1]) is float
+    @pytest.mark.parametrize("alternatives", [
+        (("a", -2.0), ("b", -1.0)),  # unsorted
+        (("a", 0.2),),  # positive
+        [["a", -1], ("b", -2.5)],  # lists and an int logprob, kept as given
+        "not alternatives at all",
+    ])
+    def test_alternatives_ignored(self, alternatives):
+        record = TokenRecord("x", -0.5, top_alternatives=alternatives)
+        assert record.top_alternatives is alternatives
+        assert record == TokenRecord("x", -0.5)
+        assert hash(record) == hash(TokenRecord("x", -0.5))
