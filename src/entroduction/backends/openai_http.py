@@ -18,7 +18,7 @@ import math
 import random
 import threading
 import time
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 import requests
 
@@ -133,10 +133,12 @@ class OpenAIChatBackend:
 
     @staticmethod
     def _completions_url(endpoint: str) -> str:
-        trimmed = endpoint.rstrip("/")
-        if trimmed.endswith("/chat/completions"):
-            return trimmed
-        return trimmed + "/chat/completions"
+        """``endpoint`` with its path ending in ``/chat/completions``, its query kept."""
+        parts = urlsplit(endpoint)
+        path = parts.path.rstrip("/")
+        if not path.endswith("/chat/completions"):
+            path += "/chat/completions"
+        return urlunsplit(parts._replace(path=path))
 
     def _payload(self, request: GenerationRequest) -> dict:
         return {

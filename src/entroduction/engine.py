@@ -25,9 +25,13 @@ the most confident chain (lowest mean normalized step entropy).
 A run sends every backend call through one ``CallScheduler``, up to the
 backend's ``max_in_flight`` at once (a backend that declares none is called
 on the calling thread, one request at a time). A call's key is its place in
-a serial run: ``(j, k, 0)`` for the step of the k-th unfinished chain in
-iteration j, ``(j, k, 1)`` for that chain's expand sibling, and
-``(j + 1, k, 0)`` for the k-th elicitation after the last iteration j.
+a serial run: ``(j, c, 0)`` for chain c's step in iteration j, ``(j, c, 1)``
+for its expand sibling and ``(max_steps + 1, c, 0)`` for its elicitation. A
+chain submits its next call (its next step within the budget, else its
+elicitation) as soon as its own step is committed, with an expand's sibling
+call; only a chain that an expand creates waits for the iteration's last
+step. So every call but a sibling is submitted in key order, and identical
+requests keep their serial occurrences.
 The run takes each reply from the scheduler by its key, in key order, and
 allocates node ids as it commits them, so the trace is the one a serial run
 produces. Each reply object is measured, and read for an answer, once per
@@ -374,11 +378,20 @@ class _Runner:
             )
         )
 
-    def advance_chain(
-        self, chain: Chain, step_index: int, k: int, request: GenerationRequest
-    ) -> None:
-        """Commit the reply to ``request``, at key ``(step_index, k, 0)``, as the chain's step."""
-        node, answer = self.make_node((step_index, k, 0))
+    def follow_up(self, chain: Chain, step_index: int, texts: list[str]) -> None:
+        """Submit the call ``chain`` makes after step ``step_index``, its steps being
+        ``texts``: its next step while unfinished within budget, else its elicitation."""
+        if not chain.finalized and step_index < self.config.max_steps:
+            request = request_for(self.config, self.structure.task, texts)
+            self.calls.submit(request, (step_index + 1, chain.id, 0))
+        elif self.config.elicit_final_answer and not chain.final_answer:
+            request = conclusion_request(self.config, self.structure.task, texts)
+            self.calls.submit(request, (self.config.max_steps + 1, chain.id, 0))
+
+    def advance_chain(self, chain: Chain, step_index: int) -> None:
+        """Commit the reply at ``(step_index, chain.id, 0)`` as the chain's step and
+        submit its next call, with the sibling call at ``(step_index, chain.id, 1)``."""
+        node, answer = self.make_node((step_index, chain.id, 0))
 
         # Soft-stop grace steps, and the first two steps (no delta pair
         # exists yet), are unconditional deepens.
@@ -404,8 +417,11 @@ class _Runner:
 
         remaining = reason = None
         if action is Action.EXPAND:
-            self.calls.submit(request, (step_index, k, 1))
-            sibling_node, sibling_answer = self.make_node((step_index, k, 1))
+            texts = chain.node_texts()
+            self.calls.submit(request_for(self.config, self.structure.task, texts),
+                              (step_index, chain.id, 1))
+            self.follow_up(chain, step_index, [*texts, node.text])
+            sibling_node, sibling_answer = self.make_node((step_index, chain.id, 1))
             sibling_id = self.structure.expand(chain, node, sibling_node)
         else:
             chain.deepen(node)
@@ -424,43 +440,29 @@ class _Runner:
         if action is Action.EXPAND:
             self.record(self.structure.chains[sibling_id], sibling_node, sibling_answer,
                         step_index, ExecutedBehavior.EXPAND)
-
-    def advance_round(self, step_index: int) -> None:
-        """Advance every unfinished chain by one step, all calls submitted first."""
-        chains = self.structure.unfinished_chains()
-        requests = [
-            request_for(self.config, self.structure.task, chain.node_texts())
-            for chain in chains
-        ]
-        for k, request in enumerate(requests):
-            self.calls.submit(request, (step_index, k, 0))
-        for k, (chain, request) in enumerate(zip(chains, requests)):
-            self.advance_chain(chain, step_index, k, request)
-
-    def elicit_conclusions(self, step_index: int) -> None:
-        """Ask every chain without an answer for one, as iteration ``step_index``."""
-        pending = [
-            chain for chain in self.structure.chains
-            if not chain.final_answer and chain.nodes
-        ]
-        for k, chain in enumerate(pending):
-            request = conclusion_request(self.config, self.structure.task, chain.node_texts())
-            self.calls.submit(request, (step_index, k, 0))
-        for k, chain in enumerate(pending):
-            _, generation = self.calls.take((step_index, k, 0))
-            self.conclusion_calls += 1
-            chain.final_answer = elicited_answer(generation) or None
+        else:
+            self.follow_up(chain, step_index, chain.node_texts())
 
     def run(self) -> RunResult:
         started = time.perf_counter()
         error: str | None = None
         try:
+            self.follow_up(self.structure.chains[0], 0, [])
             step_index = 0
-            while step_index < self.config.max_steps and self.structure.unfinished_chains():
+            while step_index < self.config.max_steps and (
+                    chains := self.structure.unfinished_chains()):
                 step_index += 1
-                self.advance_round(step_index)
-            if self.config.elicit_final_answer:
-                self.elicit_conclusions(step_index + 1)
+                created = len(self.structure.chains)
+                for chain in chains:
+                    self.advance_chain(chain, step_index)
+                # New chains send their first calls after every older chain's.
+                for chain in self.structure.chains[created:]:
+                    self.follow_up(chain, step_index, chain.node_texts())
+            for chain in self.structure.chains:
+                if self.config.elicit_final_answer and not chain.final_answer:
+                    _, generation = self.calls.take((self.config.max_steps + 1, chain.id, 0))
+                    self.conclusion_calls += 1
+                    chain.final_answer = elicited_answer(generation) or None
         except BackendError as exc:
             error = str(exc)
         finally:
@@ -487,11 +489,13 @@ def run_task(task: str, config: RunConfig, backend: Backend) -> RunResult:
 
     Deterministic given (task, config, backend behavior): chain random
     streams are keyed by (seed, chain id) and chains are committed in
-    ascending id order, with chains created mid-iteration first acting in
-    the next iteration. Calls made together change timing, not results. A
+    ascending id order. A chain created mid-iteration first acts in the next
+    iteration, and sends its first call once the iteration's last step is
+    committed; any other chain's next call leaves once its own step is (keys
+    in the module docstring). Calls made together change timing, not results. A
     ``BackendError`` aborts the run and returns the partial trace with
     ``aborted`` set; a ``ConfigurationError`` from a call is raised. No
-    worker thread outlives the call.
-    A blank task raises ValueError before any backend call.
+    worker thread outlives the call. A blank task raises ValueError before
+    any backend call.
     """
     return _Runner(task, config, backend).run()

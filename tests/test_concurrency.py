@@ -439,3 +439,102 @@ def test_coinciding_chains_keep_serial_replies(seed):
         concurrent = run_task("q", config, PairedBackend(4, seed=jitter_seed))
         assert snapshot(concurrent) == snapshot(serial)
     assert worker_threads() == []
+
+
+class HeldBackend(KeyedBackend):
+    """Holds the reply to the call ``held``, a (request, occurrence) pair,
+    until a call of the request ``until`` has started, and fails the held
+    call if none starts in ``GATE_TIMEOUT_S``."""
+
+    def __init__(self, held, until):
+        super().__init__(4)
+        self.held, self.until = held, until
+        self.until_started = threading.Event()
+
+    def generate_step(self, request: GenerationRequest):
+        if request == self.until:
+            self.until_started.set()
+        return super().generate_step(request)
+
+    def reply(self, request: GenerationRequest, occurrence: int):
+        if (request, occurrence) == self.held and not self.until_started.wait(GATE_TIMEOUT_S):
+            raise BackendError("the held call's follow-up was not sent beside it")
+        return super().reply(request, occurrence)
+
+
+class TestChainDataflow:
+    """A chain's next call leaves as soon as its own step is committed."""
+
+    def serial(self, config):
+        """The serial run, and each node's (request, occurrence) by node id."""
+        backend = KeyedBackend(1, jitter_s=0.0)
+        return run_task("q", config, backend), backend.calls
+
+    def test_expanding_chain_steps_beside_its_sibling(self):
+        # Seed 1: chain 0 expands at step 3 and steps on to step 4.
+        config = adaptive_config(1)
+        serial, calls = self.serial(config)
+        step, sibling = serial.trace[2:4]
+        assert (step.executed, sibling.executed) == ("expand", "expand")
+        after = next(e for e in serial.trace
+                     if (e.step_index, e.chain_id) == (step.step_index + 1, step.chain_id))
+        backend = HeldBackend(held=calls[sibling.node_id], until=calls[after.node_id][0])
+        assert snapshot(run_task("q", config, backend)) == snapshot(serial)
+        assert worker_threads() == []
+
+    def test_stopped_chain_elicits_before_a_later_step_returns(self):
+        # Seed 1: chain 0 ends by its stop grace at step 5, chain 1 steps on to step 6.
+        config = adaptive_config(1)
+        serial, calls = self.serial(config)
+        stopped = next(e for e in serial.trace if e.finalize_reason == "stop_grace_exhausted")
+        later = next(e for e in serial.trace
+                     if e.step_index > stopped.step_index and e.chain_id != stopped.chain_id)
+        chain = serial.structure.chains[stopped.chain_id]
+        elicitation = engine.conclusion_request(config, "q", chain.node_texts())
+        assert chain.final_answer and elicitation in {request for request, _ in calls}
+        backend = HeldBackend(held=calls[later.node_id], until=elicitation)
+        assert snapshot(run_task("q", config, backend)) == snapshot(serial)
+        assert worker_threads() == []
+
+
+class ForkBackend(KeyedBackend):
+    """Occurrence 1 of a request repeats occurrence 0's step text after three
+    steps, so a first expand there makes twin chains, and occurrence 2's text
+    later on; each reply keeps its own logprobs. The reply to the call
+    ``slow`` comes ``SLOW_S`` late."""
+
+    SLOW_S = 0.2
+
+    def __init__(self, max_in_flight: int, slow=None, seed: int = 0):
+        super().__init__(max_in_flight, seed=seed)
+        self.slow = slow
+
+    def reply(self, request: GenerationRequest, occurrence: int):
+        if (request, occurrence) == self.slow:
+            time.sleep(self.SLOW_S)
+        text_from = occurrence
+        if occurrence == 1:
+            text_from = 0 if len(request.prior_steps) == 3 else 2
+        text = reply(request, text_from).text
+        return make_step(text, [t.chosen_logprob for t in reply(request, occurrence).tokens])
+
+
+def test_new_chain_follows_up_after_older_identical_requests():
+    """Seed 2: chain 0 expands at step 4 into its twin, chain 1, and again at
+    step 5 into chain 2, whose sibling text is chain 1's step 5. Chains 1 and
+    2 then send identical step-6 requests. Chain 2's may leave only after
+    chain 1's, even while chain 1's step 5 is slow to return."""
+    config = RunConfig(
+        max_steps=7, max_chains=4, policy=PolicyConfig(epsilon=1.0, stop_k=2, seed=2)
+    )
+    reference = ForkBackend(1)
+    serial = run_task("q", config, reference)
+    chains = serial.structure.chains
+    assert [(e.step_index, e.chain_id, e.executed) for e in serial.trace[3:7]] == [
+        (4, 0, "expand"), (4, 1, "expand"), (5, 0, "expand"), (5, 2, "expand")]
+    assert chains[1].node_texts()[:5] == chains[2].node_texts()[:5]
+    older = next(e for e in serial.trace if (e.step_index, e.chain_id) == (5, 1))
+    for seed in range(3):
+        backend = ForkBackend(4, slow=reference.calls[older.node_id], seed=seed)
+        assert snapshot(run_task("q", config, backend)) == snapshot(serial)
+    assert worker_threads() == []

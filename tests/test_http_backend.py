@@ -567,6 +567,22 @@ class TestConstruction:
             == "http://h/v1/chat/completions"
         )
 
+    @pytest.mark.parametrize("endpoint", [
+        "http://h/v1?api-version=2024", "http://h/v1/?api-version=2024",
+        "http://h/v1/chat/completions?api-version=2024",
+    ])
+    def test_query_kept_after_the_path(self, endpoint):
+        assert (
+            OpenAIChatBackend._completions_url(endpoint)
+            == "http://h/v1/chat/completions?api-version=2024"
+        )
+
+    def test_query_reaches_the_server(self):
+        with ChatCompletionsMock([completion_payload(THREE_TOKENS)]) as mock:
+            backend = OpenAIChatBackend(endpoint=mock.endpoint + "?api-version=2024", model="m")
+            backend.generate_step(step_request())
+        assert mock.paths == ["/v1/chat/completions?api-version=2024"]
+
     def test_missing_endpoint_rejected(self):
         with pytest.raises(ConfigurationError):
             OpenAIChatBackend(endpoint="", model="m")
