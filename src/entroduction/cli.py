@@ -269,9 +269,11 @@ def run_command(task, out, summary_out, **settings) -> None:
               help=f"Tree layer count (default {BaselineParams.layers}).")
 @click.option("--strict", is_flag=True, default=False, help="Reject malformed dataset rows.")
 @click.option("--out", default=None, help="Write the report JSON here.")
-@click.option("--trace-out", default=None, help="Write all run traces (JSONL) here.")
+@click.option("--trace-out", default=None, help="Write adaptive run traces (JSONL) here.")
 def bench_command(dataset, task_kind, method, strict, out, trace_out, **settings) -> None:
     """Score a method over a JSONL dataset."""
+    if trace_out and method is not Method.ENTRODUCTION:
+        raise ConfigurationError(f"--trace-out records adaptive runs only, not {method.value}")
     backend = build_backend(settings)
     run_config = build_run_config(settings)
     params = _build(BaselineParams, **_given(settings, BaselineParams))

@@ -72,7 +72,7 @@ from .policy import (
     chain_rng,
     decide,
 )
-from .structure import Chain, ChainStatus, ReasoningNode, ReasoningStructure, create_structure
+from .structure import Chain, ReasoningNode, ReasoningStructure, create_structure
 
 __all__ = [
     "ExecutedBehavior",
@@ -245,12 +245,13 @@ class CallScheduler:
         return self
 
     def take(self, key: Any = None) -> tuple[Any, StepGeneration]:
-        """The reply at ``key``, or the first to arrive when ``key`` is None."""
+        """The reply at ``key``, or the first to arrive when ``key`` is None. With no
+        call left to give one, ``take()`` raises StopIteration, ``take(key)`` KeyError."""
         while not self._ready or key is not None and key not in self._ready:
             if not self._waiting and not any(self.kept(k) for k, _ in self._running.values()):
                 if self._failed is not None:
                     raise self._failed[1]
-                raise StopIteration
+                raise StopIteration if key is None else KeyError(key)
             self._send()
         if key is None:
             key = next(iter(self._ready))
@@ -315,9 +316,11 @@ class _Runner:
     def __init__(self, task: str, config: RunConfig, backend: Backend):
         self.config = config
         self.calls = CallScheduler(backend)
-        self.structure = create_structure(task, config.max_chains)
+        self.structure = create_structure(task)
         self.trace: list[TraceEvent] = []
         self.rngs: dict[int, ChainRng] = {}
+        # The grace steps left to each chain with a soft stop pending, by chain id.
+        self.grace: dict[int, int] = {}
         self.conclusion_calls = 0
         # One reading per reply object: the reply (so its id is not reused),
         # its metrics and the answer it states.
@@ -397,7 +400,8 @@ class _Runner:
         # exists yet), are unconditional deepens.
         action, executed = Action.DEEPEN, ExecutedBehavior.FORCED_DEEPEN
         state = decision = None
-        if chain.status is ChainStatus.ACTIVE and len(chain.nodes) >= 2:
+        pending = self.grace.get(chain.id)
+        if pending is None and len(chain.nodes) >= 2:
             previous = chain.nodes[-1].metrics
             state = PolicyState(
                 delta_entropy=node.metrics.entropy_bits - previous.entropy_bits,
@@ -408,9 +412,7 @@ class _Runner:
             if answer:
                 # An answer preempts whatever was sampled: keep the step, end the chain.
                 action = Action.DEEPEN
-            elif action is Action.EXPAND and (
-                len(self.structure.chains) >= self.structure.max_chains
-            ):
+            elif action is Action.EXPAND and len(self.structure.chains) >= self.config.max_chains:
                 # Chain budget exhausted: degrade to a deepen, skip the sibling call.
                 action = Action.DEEPEN
             executed = action.value
@@ -425,8 +427,8 @@ class _Runner:
             sibling_id = self.structure.expand(chain, node, sibling_node)
         else:
             chain.deepen(node)
-        if chain.status is ChainStatus.STOP_PENDING:
-            chain.stop_remaining = remaining = chain.stop_remaining - 1
+        if pending is not None:
+            self.grace[chain.id] = remaining = pending - 1
             if remaining == 0:
                 chain.finalize()
                 reason = "stop_grace_exhausted"
@@ -434,8 +436,7 @@ class _Runner:
             chain.finalize()
             reason = "stop"
         elif action is Action.STOP:
-            chain.status = ChainStatus.STOP_PENDING
-            chain.stop_remaining = remaining = self.config.policy.stop_k - 1
+            self.grace[chain.id] = remaining = self.config.policy.stop_k - 1
         self.record(chain, node, answer, step_index, executed, state, decision, remaining, reason)
         if action is Action.EXPAND:
             self.record(self.structure.chains[sibling_id], sibling_node, sibling_answer,

@@ -1,7 +1,9 @@
 """Answer cleansing: raw model text to a comparable answer string.
 
 The one reader of answers, for predictions and dataset golds alike. A numeric
-answer loses its commas and keeps the last number found by a regex. A choice
+answer loses its commas and keeps the last number found by a regex, rewritten
+from its own digits (never rounded): no leading zeros, no trailing fraction
+zeros or bare point, no sign on zero, and "0" before a leading point. A choice
 answer becomes an option letter: a parenthesized letter, a bare letter in the
 label range, or the option whose text it contains. A boolean answer becomes
 "yes" or "no" from its first yes, no, true or false word. An empty result
@@ -22,7 +24,8 @@ __all__ = [
     "clean_answer",
 ]
 
-NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
+# A point that follows a digit is not a leading point: "3.5.1" reads as 3.5 and 1.
+NUMBER_RE = re.compile(r"-?(?:\d+(?:\.\d+)?|(?<!\d)\.\d+)")
 PAREN_LETTER_RE = re.compile(r"\(([A-Za-z])\)")
 # Uppercase only: a lowercase bare "a" is usually the article, not a label.
 BARE_LETTER_RE = re.compile(r"\b([A-J])\b")
@@ -43,12 +46,14 @@ class Position(enum.Enum):
 
 
 def clean_answer_numeric(pred: str, position: Position = Position.LAST) -> str:
-    """Comma removal, regex number extraction, positional selection."""
-    stripped = pred.replace(",", "")
-    numbers = NUMBER_RE.findall(stripped)
+    """Comma removal, regex number extraction, positional selection, canonical form."""
+    numbers = NUMBER_RE.findall(pred.replace(",", ""))
     if not numbers:
         return ""
-    return numbers[0] if position is Position.FIRST else numbers[-1]
+    number = numbers[0] if position is Position.FIRST else numbers[-1]
+    whole, _, fraction = number.lstrip("-").partition(".")
+    digits = (whole.lstrip("0") or "0") + ("." + fraction.rstrip("0")).rstrip(".")
+    return digits if digits == "0" or not number.startswith("-") else "-" + digits
 
 
 def normalize_boolean(text: str) -> str:

@@ -3,8 +3,8 @@
 A structure starts as a single empty chain and grows by three mutations:
 deepen (append a node to a chain), expand (fork a chain into two chains that
 share their prefix by node identity), and finalize (permanently stop a
-chain). Chain count is capped by ``max_chains``: an expand at the cap is
-refused. When to apply each mutation is the engine's rule.
+chain). The structure only records them: when to apply each, the chain
+budget and the soft-stop grace are the engine's rules.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
 
 class ChainStatus(enum.Enum):
     ACTIVE = "active"
-    STOP_PENDING = "stop_pending"
     FINALIZED = "finalized"
 
 
@@ -37,24 +36,18 @@ class ReasoningNode:
     text: str
     metrics: StepMetrics
 
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("node text must be non-empty")
-
 
 @dataclass
 class Chain:
     """An ordered sequence of reasoning nodes with a lifecycle status.
 
     ``parent`` records an expand origin as (parent chain id, shared prefix
-    length). ``stop_remaining`` counts the grace steps left once a soft stop
-    is pending; the engine sets and ticks it.
+    length). A chain keeps no count of its soft-stop grace: the engine does.
     """
 
     id: int
     nodes: list[ReasoningNode] = field(default_factory=list)
     status: ChainStatus = ChainStatus.ACTIVE
-    stop_remaining: int | None = None
     parent: tuple[int, int] | None = None
     final_answer: str | None = None
 
@@ -69,7 +62,7 @@ class Chain:
         return [node.text for node in self.nodes]
 
     def deepen(self, node: ReasoningNode) -> None:
-        """Append the next node; allowed while active or stop-pending."""
+        """Append the next node; a finalized chain raises ValueError."""
         if self.finalized:
             raise ValueError("chain finalized")
         self.nodes.append(node)
@@ -77,7 +70,6 @@ class Chain:
     def finalize(self) -> None:
         """Permanently stop this chain; idempotent."""
         self.status = ChainStatus.FINALIZED
-        self.stop_remaining = None
 
     def mean_normalized_entropy(self) -> float:
         """Mean normalized step entropy over this chain's nodes; 0 if empty."""
@@ -88,13 +80,13 @@ class Chain:
 
 @dataclass
 class ReasoningStructure:
-    """All chains built for one task, capped at ``max_chains``.
+    """All chains built for one task, as recorded; the engine keeps their
+    count within its chain budget.
 
     ``nodes_allocated`` counts the node ids handed out, attached or not.
     """
 
     task: str
-    max_chains: int
     chains: list[Chain] = field(default_factory=list)
     nodes_allocated: int = 0
 
@@ -108,7 +100,7 @@ class ReasoningStructure:
         return chain
 
     def unfinished_chains(self) -> list[Chain]:
-        """Active and stop-pending chains, in ascending id order."""
+        """Chains not yet finalized, in ascending id order."""
         return [c for c in self.chains if not c.finalized]
 
     def depth(self) -> int:
@@ -126,13 +118,10 @@ class ReasoningStructure:
 
     def expand(self, chain: Chain, node_a: ReasoningNode, node_b: ReasoningNode) -> int:
         """Fork ``chain``: it receives ``node_a``; a new chain gets the shared
-        prefix plus ``node_b``. Returns the new chain's id. At the chain
-        budget it raises ValueError and changes nothing.
+        prefix plus ``node_b``. Returns the new chain's id. A finalized
+        ``chain`` raises ValueError and changes nothing; whether the budget
+        allows a fork is the engine's call.
         """
-        if chain.status is not ChainStatus.ACTIVE:
-            raise ValueError("can only expand an active chain")
-        if len(self.chains) >= self.max_chains:
-            raise ValueError(f"chain budget of {self.max_chains} exhausted")
         prefix = list(chain.nodes)
         chain.deepen(node_a)
         sibling = self._allocate_chain(parent=(chain.id, len(prefix)))
@@ -140,13 +129,11 @@ class ReasoningStructure:
         return sibling.id
 
 
-def create_structure(task: str, max_chains: int) -> ReasoningStructure:
+def create_structure(task: str) -> ReasoningStructure:
     """A fresh structure with one active, empty chain; the task must not be
     blank."""
     if not task.strip():
         raise ValueError("empty task")
-    if max_chains < 1:
-        raise ValueError("max_chains must be >= 1")
-    structure = ReasoningStructure(task=task, max_chains=max_chains)
+    structure = ReasoningStructure(task=task)
     structure._allocate_chain()
     return structure

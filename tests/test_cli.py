@@ -461,6 +461,21 @@ class TestBenchCommand:
         assert len(rows) == 4
         assert {r["task_id"] for r in rows} == {"a", "b"}
 
+    @pytest.mark.parametrize("method", ["cot", "cotsc", "tot"])
+    def test_trace_out_with_a_baseline_is_config_error(self, tmp_path, calls, method):
+        # Baselines write no trace, so the flag would leave an empty file.
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, [{"id": "1", "question": "one?", "answer": "1"}])
+        trace_out = tmp_path / "runs.jsonl"
+        result = CliRunner().invoke(
+            main,
+            ["bench", "--dataset", str(dataset), "--method", method,
+             "--trace-out", str(trace_out)],
+        )
+        assert_exit(result, 1, "--trace-out records adaptive runs only")
+        assert not trace_out.exists()
+        assert calls == {}
+
 
 class TestUnwritableOutput:
     """An output path that cannot be opened is a configuration error, raised

@@ -155,6 +155,10 @@ class TestRunConfig:
             RunConfig(**values)
         assert str(config_error.value) == str(request_error.value)
 
+    def test_zero_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_chains"):
+            RunConfig(max_chains=0)
+
 
 class TestBudgetAndBounds:
     def test_expand_degrades_at_budget(self):
@@ -494,6 +498,18 @@ class TestCallScheduler:
             calls.submit(GenerationRequest(system_prompt="s", task=task), key)
         assert [key for key, _ in calls] == [(0, 0), (0, 1), (2, 0)]
         assert [request.task for request, _ in backend.calls] == ["a", "b", "c"]
+
+    def test_taking_a_key_nothing_produces_raises_key_error(self):
+        # A stray StopIteration would silently end an enclosing next() or map.
+        calls = CallScheduler(KeyedBackend(1, jitter_s=0.0))
+        calls.submit(GenerationRequest(system_prompt="s", task="a"), 0)
+        with pytest.raises(KeyError):
+            calls.take(1)  # never queued
+        assert calls.take(0)[0] == 0
+        with pytest.raises(KeyError):
+            calls.take(0)  # already taken
+        with pytest.raises(StopIteration):
+            calls.take()
 
     @pytest.mark.parametrize("seed", [2, 3, 6])
     def test_one_thread_pool_per_run(self, monkeypatch, seed):

@@ -158,6 +158,10 @@ class TestLoadDataset:
         (TaskKind.NUMERIC_MATH, 2.5, "2.5"),
         (TaskKind.NUMERIC_MATH, 42, "42"),
         (TaskKind.NUMERIC_MATH, "18 apples", "18"),
+        # Every numeric gold in the one canonical form predictions take.
+        (TaskKind.NUMERIC_MATH, "#### 1,000.00", "1000"),
+        (TaskKind.NUMERIC_MATH, "8.00", "8"),
+        (TaskKind.NUMERIC_MATH, ".5", "0.5"),
         # A choice gold reads as an option letter, through the option's text too.
         (TaskKind.MULTIPLE_CHOICE, "#### B", "B"),
         (TaskKind.MULTIPLE_CHOICE, True, "B"),
@@ -288,6 +292,20 @@ NUMERIC_CASES = [
     ("only words, commas, and dots.", Position.FIRST, ""),
     ("step 2: 15 - 3 = 12", Position.LAST, "12"),
     ("1,234", Position.FIRST, "1234"),
+    # One canonical form, from the written digits alone: nothing is rounded.
+    ("The answer is 8.0", Position.LAST, "8"),
+    ("1000.00", Position.LAST, "1000"),
+    ("it is .5", Position.LAST, "0.5"),
+    ("x = -.25", Position.LAST, "-0.25"),
+    ("-0", Position.LAST, "0"),
+    ("-0.00", Position.LAST, "0"),
+    ("007", Position.LAST, "7"),
+    ("00.50 then 0.10", Position.FIRST, "0.5"),
+    ("0.000000000000000000001", Position.LAST, "0.000000000000000000001"),
+    ("12345678901234567890.10", Position.LAST, "12345678901234567890.1"),
+    # A point that follows a digit starts no number.
+    ("3.5.1", Position.LAST, "1"),
+    ("3.5.1", Position.FIRST, "3.5"),
 ]
 
 
@@ -448,6 +466,14 @@ class TestRunBenchmark:
         assert report.accuracy == 0.75
         assert report.records[3].predicted == "999"
         assert not report.records[3].correct
+
+    def test_gold_and_prediction_compare_as_numbers(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": "1", "question": "how much?", "answer": "#### 1,000.00"}])
+        tasks = load_dataset(path, TaskKind.NUMERIC_MATH, strict=True)
+        backend = ScriptedBackend([make_step("The answer is 1000", A60)])
+        report = run_benchmark(Method.ENTRODUCTION, tasks, backend, run_config=self.config())
+        assert (report.records[0].predicted, report.accuracy) == ("1000", 1.0)
 
     def test_yes_no_options_score_by_letter(self):
         task = TaskInstance("c1", "is it?", "A", TaskKind.MULTIPLE_CHOICE, ("Yes", "No"))

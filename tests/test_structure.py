@@ -1,4 +1,4 @@
-"""Structure tests: mutations, prefix sharing, budget, immutability."""
+"""Structure tests: mutations, prefix sharing, immutability."""
 
 from __future__ import annotations
 
@@ -38,32 +38,28 @@ def fork_nodes(structure):
 
 class TestCreate:
     def test_fresh_structure(self):
-        s = create_structure("2+2?", 16)
+        s = create_structure("2+2?")
         assert len(s.chains) == 1
         assert s.chains[0].status is ChainStatus.ACTIVE
         assert s.depth() == 0
 
     def test_budget_one(self):
-        s = create_structure("q", 1)
-        assert s.max_chains == 1
+        # A fresh structure holds one chain: a chain budget of one is already met.
+        assert len(create_structure("q").chains) == 1
 
     def test_empty_task_rejected(self):
         with pytest.raises(ValueError, match="empty task"):
-            create_structure("", 4)
+            create_structure("")
 
     @pytest.mark.parametrize("task", [" ", "\t\n  "])
     def test_blank_task_rejected(self, task):
         with pytest.raises(ValueError, match="empty task"):
-            create_structure(task, 4)
-
-    def test_zero_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_chains"):
-            create_structure("q", 0)
+            create_structure(task)
 
 
 class TestDeepen:
     def test_appends(self):
-        s = create_structure("q", 4)
+        s = create_structure("q")
         chain = s.chains[0]
         chain.deepen(make_node(s))
         chain.deepen(make_node(s))
@@ -71,13 +67,13 @@ class TestDeepen:
         assert [n.id for n in chain.nodes] == [0, 1]
 
     def test_first_node(self):
-        s = create_structure("q", 4)
+        s = create_structure("q")
         chain = s.chains[0]
         chain.deepen(make_node(s))
         assert len(chain) == 1
 
     def test_finalized_rejects_append(self):
-        s = create_structure("q", 4)
+        s = create_structure("q")
         chain = s.chains[0]
         node = make_node(s)
         chain.finalize()
@@ -87,7 +83,7 @@ class TestDeepen:
 
 class TestExpand:
     def test_shares_prefix_by_identity(self):
-        s = create_structure("q", 4)
+        s = create_structure("q")
         chain = s.chains[0]
         chain.deepen(make_node(s, "n1"))
         chain.deepen(make_node(s, "n2"))
@@ -102,20 +98,19 @@ class TestExpand:
             assert left is right
 
     def test_budget_degrades_to_deepen(self):
-        # Degrading is the engine's call: at the budget the structure refuses.
-        s = create_structure("q", 1)
+        # At the chain budget the engine deepens with the step it drew: the
+        # chain grows and no chain is added.
+        s = create_structure("q")
         chain = s.chains[0]
         chain.deepen(make_node(s))
-        nodes = list(chain.nodes)
-        node_a, node_b = fork_nodes(s)
-        with pytest.raises(ValueError, match="budget"):
-            s.expand(chain, node_a, node_b)
+        node_a, _ = fork_nodes(s)
+        chain.deepen(node_a)
         assert s.chains == [chain]
-        assert chain.nodes == nodes
+        assert chain.nodes[-1] is node_a
         assert chain.status is ChainStatus.ACTIVE
 
     def test_expand_empty_chain(self):
-        s = create_structure("q", 4)
+        s = create_structure("q")
         chain = s.chains[0]
         node_a, node_b = fork_nodes(s)
         new_id = s.expand(chain, node_a, node_b)
@@ -124,17 +119,22 @@ class TestExpand:
         assert s.chains[1].parent == (0, 0)
 
     def test_expand_requires_active(self):
-        s = create_structure("q", 4)
+        s = create_structure("q")
         chain = s.chains[0]
+        chain.deepen(make_node(s))
+        nodes = list(chain.nodes)
         node_a, node_b = fork_nodes(s)
         chain.finalize()
-        with pytest.raises(ValueError, match="active"):
+        with pytest.raises(ValueError, match="chain finalized"):
             s.expand(chain, node_a, node_b)
+        assert s.chains == [chain]
+        assert chain.nodes == nodes
+        assert chain.status is ChainStatus.FINALIZED
 
 
 class TestFinalize:
     def test_finalize_then_deepen_errors(self):
-        s = create_structure("q", 4)
+        s = create_structure("q")
         chain = s.chains[0]
         chain.finalize()
         assert chain.status is ChainStatus.FINALIZED
@@ -150,7 +150,7 @@ class TestFinalize:
 
 class TestDepth:
     def test_max_of_lengths(self):
-        s = create_structure("q", 8)
+        s = create_structure("q")
         lengths = [3, 5, 2]
         chain = s.chains[0]
         for _ in range(lengths[0]):
@@ -163,10 +163,10 @@ class TestDepth:
         assert s.depth() == 5
 
     def test_fresh_is_zero(self):
-        assert create_structure("q", 2).depth() == 0
+        assert create_structure("q").depth() == 0
 
     def test_expand_increments_depth(self):
-        s = create_structure("q", 8)
+        s = create_structure("q")
         chain = s.chains[0]
         for _ in range(4):
             chain.deepen(make_node(s))
@@ -180,7 +180,7 @@ class TestRandomizedInvariants:
         rng = random.Random(1234)
         for trial in range(60):
             max_chains = rng.randint(1, 6)
-            s = create_structure(f"task {trial}", max_chains)
+            s = create_structure(f"task {trial}")
             depth_seen = 0
             frozen: dict[int, tuple[int, ...]] = {}
             for _ in range(rng.randint(1, 40)):
@@ -195,7 +195,7 @@ class TestRandomizedInvariants:
                     # As the engine does: an expand at the budget is a deepen.
                     if len(s.chains) >= max_chains:
                         chain.deepen(make_node(s))
-                    elif chain.status is ChainStatus.ACTIVE:
+                    else:
                         node_a, node_b = fork_nodes(s)
                         s.expand(chain, node_a, node_b)
                 else:
