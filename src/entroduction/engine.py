@@ -202,24 +202,27 @@ class CallScheduler:
     """A run's backend calls, each placed by a key its caller gives.
 
     ``submit(request, key)`` queues a call at ``key``, its place in a serial
-    run: any value that is distinct from and compares with the run's other
-    keys. ``take(key)`` returns ``(key, generation)`` for the reply at
-    ``key``, and ``take()`` (or iterating) for the first reply to arrive, on
-    the caller's thread; replies that arrive early wait here until taken, and
-    iteration stops once no call is left. Up to ``backend.max_in_flight``
-    calls run at once on worker threads, started in key order; a backend
-    without it is called lazily on the caller's thread in key order, as in a
-    plain loop. Identical requests run one at a time in key order: each waits
-    until the reply to the one before it has been taken, and then the
-    lowest-keyed one waiting starts. An expand's sibling, submitted right
-    after its step's reply is taken, thus runs before any identical request
-    at a higher key, so a backend that answers by (request, occurrence) gives
-    the same replies in any schedule. With nothing in flight and no other
-    waiting call free to start, the first waiting call is made here, so
-    taking replies out of key order never stalls. A blank reply fails its
-    call with ``BackendError("empty step")``, whichever backend sent it. The
-    earliest failing key is raised once every reply at an earlier key has
-    been returned; ``kept`` tells the keys before it. ``close`` cancels calls
+    run: any value that compares with the run's other keys. Several calls
+    may share a key if they are the same request. ``take(key)`` returns
+    ``(key, generation)`` for a reply at ``key``, and ``take()`` (or
+    iterating) for the first reply to arrive, on the caller's thread; a key's
+    replies are handed out one at a time in the order they arrive, replies
+    that arrive early wait here until taken, and iteration stops once no call
+    is left. Up to ``backend.max_in_flight`` calls run at once on worker
+    threads, started in key order, and the calls at one key run together; a
+    backend without it is called lazily on the caller's thread in key order,
+    as in a plain loop. Identical requests at different keys run one key at a
+    time in key order: each waits until every reply at the key before it has
+    been taken, and then the lowest-keyed one waiting starts. An expand's
+    sibling, submitted right after its step's reply is taken, thus runs
+    before any identical request at a higher key, so a backend that answers
+    by (request, occurrence) gives each key the same replies in any schedule.
+    With nothing in flight and no other waiting call free to start, the first
+    waiting call is made here, so taking replies out of key order never
+    stalls. A blank reply fails its call with ``BackendError("empty step")``,
+    whichever backend sent it. A failed call fails its key: the earliest
+    failing key is raised once every reply at an earlier key has been
+    returned, and ``kept`` tells the keys before it. ``close`` cancels calls
     not yet started and waits for those in flight.
     """
 
@@ -228,7 +231,7 @@ class CallScheduler:
         self._width = getattr(backend, "max_in_flight", 1)
         self._waiting: list[tuple[Any, GenerationRequest]] = []  # in key order
         self._running: dict[Future, tuple[Any, GenerationRequest]] = {}
-        self._ready: dict[Any, tuple[GenerationRequest, StepGeneration]] = {}  # untaken
+        self._ready: dict[Any, tuple[GenerationRequest, list[StepGeneration]]] = {}  # untaken
         # The earliest failure's (key, error): calls at or after it are dropped.
         self._failed: tuple[Any, Exception] | None = None
         self._pool: ThreadPoolExecutor | None = None
@@ -245,7 +248,7 @@ class CallScheduler:
         return self
 
     def take(self, key: Any = None) -> tuple[Any, StepGeneration]:
-        """The reply at ``key``, or the first to arrive when ``key`` is None. With no
+        """A reply at ``key``, or the first to arrive when ``key`` is None. With no
         call left to give one, ``take()`` raises StopIteration, ``take(key)`` KeyError."""
         while not self._ready or key is not None and key not in self._ready:
             if not self._waiting and not any(self.kept(k) for k, _ in self._running.values()):
@@ -255,29 +258,28 @@ class CallScheduler:
             self._send()
         if key is None:
             key = next(iter(self._ready))
-        return key, self._ready.pop(key)[1]
+        replies = self._ready[key][1]
+        if len(replies) == 1:
+            del self._ready[key]
+        return key, replies.pop(0)
 
     __next__ = take
 
     def _send(self) -> None:
-        """Make the first waiting call here if nothing could run beside it,
-        else start calls not held behind an identical one and take replies."""
-        held = {request for _, request in self._running.values()}
-        held.update(request for request, _ in self._ready.values())
-        if self._waiting and (self._width <= 1 or not self._running and (
-                {request for _, request in self._waiting} <= held | {self._waiting[0][1]})):
+        """Make the first waiting call here if nothing could run beside it, else
+        start calls not held behind an identical one at another key and take replies."""
+        if self._width > 1:
+            held = {request: key for key, request in self._running.values()}  # request -> its key
+            held.update((request, key) for key, (request, _) in self._ready.items())
+            free = [call for call in self._waiting if held.setdefault(call[1], call[0]) == call[0]]
+        if self._width <= 1 or not self._running and free in ([], self._waiting[:1]):
             self._finish(*self._waiting.pop(0))
             return
-        waiting, self._waiting = self._waiting, []
-        for key, request in waiting:
-            if request in held or len(self._running) >= self._width:
-                self._waiting.append((key, request))
-            else:
-                self._pool = self._pool or ThreadPoolExecutor(
-                    self._width, thread_name_prefix="entroduction-generate")
-                future = self._pool.submit(self._backend.generate_step, request)
-                self._running[future] = (key, request)
-            held.add(request)
+        for call in free[:self._width - len(self._running)]:
+            self._waiting.remove(call)
+            self._pool = self._pool or ThreadPoolExecutor(
+                self._width, thread_name_prefix="entroduction-generate")
+            self._running[self._pool.submit(self._backend.generate_step, call[1])] = call
         done, _ = wait(self._running, return_when=FIRST_COMPLETED)
         for future in sorted(done, key=lambda f: self._running[f][0]):
             self._finish(*self._running.pop(future), future)
@@ -290,7 +292,7 @@ class CallScheduler:
             generation = self._backend.generate_step(request) if future is None else future.result()
             if not generation.text.strip():
                 raise BackendError("empty step")
-            self._ready[key] = request, generation
+            self._ready.setdefault(key, (request, []))[1].append(generation)
         except Exception as exc:
             self._failed = key, exc
             self._waiting = [w for w in self._waiting if w[0] < key]

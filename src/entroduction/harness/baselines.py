@@ -12,7 +12,9 @@ Requests and elicitation go through the engine's request helpers, so a
 ``RunConfig`` sets sampling for both the adaptive method and these baselines.
 Every shape runs on one ``CallScheduler``, which sends a node's children as
 soon as its step returns and a leaf's elicitation as soon as the leaf
-returns, so no chain waits for another chain's steps.
+returns, so no chain waits for another chain's steps. Calls are keyed by
+path text, so a node's identical children (or the chains' first steps) leave
+together; a failed task counts the calls at keys before its failing key.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def commonsense_params(method: Method) -> BaselineParams:
 class BaselineOutcome:
     """Raw per-chain answers plus exact call accounting for one task.
     ``chains`` counts the trees begun. After a backend failure, ``error`` is
-    its message and the rest covers the calls before it in serial order."""
+    its message and the rest covers the calls at keys before its call's key."""
 
     answers: list[str]
     steps_generated: int
@@ -128,43 +130,46 @@ def run_tree_baseline(
 def _run_trees(
     task: str, roots: int, branching: int, layers: int, backend: Backend, config: RunConfig
 ) -> BaselineOutcome:
-    """One answer per leaf, in breadth-first order: the last answer stated
-    on the leaf's path, else one elicitation call's. A call's key is its
-    breadth-first place, (depth, path of child indices), so a serial backend
-    is called layer by layer; a leaf's elicitation is keyed by the leaf's path
-    one layer below it. Each step reply is read for an answer once."""
-    answers: dict[tuple, str] = {}  # key of the call that gave a leaf's answer -> answer
-    pending = {(1, (k,)): ((), None) for k in range(roots)}  # key -> prior steps, last answer
+    """One answer per leaf, in leaf path text order: the last answer stated
+    on the leaf's path, else one elicitation call's. A step call's key is its
+    depth and the texts of its prior path, which its request is a function
+    of, so identical requests share a key: the ``roots`` first steps are one
+    key, a node's ``branching`` children another, sent together. A leaf's
+    elicitation is keyed by the leaf's path one layer below it. A serial
+    backend is called in key order, layer by layer and in path text order
+    within a layer. Each step reply is read for an answer once."""
+    answers: list[tuple[tuple, tuple, str]] = []  # (key, leaf path, answer)
+    stated = {(1, ()): None}  # key -> the last answer stated on its prior path
     replied: list[tuple] = []  # every reply's key, as replies arrive
     error = None
     with closing(CallScheduler(backend)) as calls:
-        for key in pending:
-            calls.submit(request_for(config, task, ()), key)
+        request = request_for(config, task, ())
+        for _ in range(roots):
+            calls.submit(request, (1, ()))
         try:
             for key, generation in calls:
                 replied.append(key)
-                depth, branch = key
+                depth, prior = key
                 if depth > layers:
-                    answers[key] = elicited_answer(generation)
+                    answers.append((key, prior, elicited_answer(generation)))
                     continue
-                prior, stated = pending.pop(key)
                 path = prior + (generation.text,)
-                stated = detect_answer_marker(generation.text) or stated
+                answer = detect_answer_marker(generation.text) or stated[key]
                 if depth < layers:
                     request = request_for(config, task, path)
-                    for j in range(branching):
-                        calls.submit(request, (depth + 1, branch + (j,)))
-                        pending[depth + 1, branch + (j,)] = path, stated
-                elif stated is None:
-                    calls.submit(conclusion_request(config, task, path), (depth + 1, branch))
+                    stated[depth + 1, path] = answer
+                    for _ in range(branching):
+                        calls.submit(request, (depth + 1, path))
+                elif answer is None:
+                    calls.submit(conclusion_request(config, task, path), (depth + 1, path))
                 else:
-                    answers[key] = stated
+                    answers.append((key, path, answer))
         except BackendError as exc:
             error = str(exc)
-    # Replies arrive in any order: count only those a serial run commits.
+    # Replies arrive in any order: count only those at keys a serial run commits.
     depths = [depth for depth, _ in filter(calls.kept, replied)]
     steps = sum(1 for depth in depths if depth <= layers)
-    # By path alone, a leaf's elicitation sorts in the leaf's place.
-    kept = sorted(filter(calls.kept, answers), key=lambda key: key[1])
-    return BaselineOutcome([answers[key] for key in kept], steps, len(depths) - steps,
+    # A key's replies arrive in any order: equal leaf paths sort by answer.
+    kept = sorted((path, answer) for key, path, answer in answers if calls.kept(key))
+    return BaselineOutcome([answer for _, answer in kept], steps, len(depths) - steps,
                            chains=depths.count(1), error=error)

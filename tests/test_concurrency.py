@@ -37,6 +37,7 @@ SLOW_FAILURE_S = 0.1
 # How long a held call waits for the call it must overlap with.
 GATE_TIMEOUT_S = 2.0
 TREE = BaselineParams(branching=3, layers=3)
+CHAINS = BaselineParams(steps=3, chains=3)
 
 
 class KeyedBackend:
@@ -191,17 +192,92 @@ class TestBaselineDeterminism:
     # The tree's 13 steps and 9 elicitations, each failing in turn.
     @pytest.mark.parametrize("position", range(22))
     def test_same_partial_outcome_in_any_schedule(self, position):
-        reference = KeyedBackend(1)
-        run_tree_baseline("q", TREE, reference)
-        fail_on = reference.calls[position]
-        serial = run_tree_baseline("q", TREE, KeyedBackend(1, fail_on=fail_on))
-        assert serial.error == f"injected failure on call {fail_on[1]}"
-        # Every call before the failing one, and only those, was committed.
-        assert serial.steps_generated + serial.conclusion_calls == position
-        for seed in range(3):
-            backend = KeyedBackend(4, fail_on=fail_on, seed=seed)
-            assert vars(run_tree_baseline("q", TREE, backend)) == vars(serial)
-            assert worker_threads() == []
+        assert_same_partial_outcome(lambda backend: run_tree_baseline("q", TREE, backend),
+                                    position)
+
+    # The chains' 9 steps and 3 elicitations, each failing in turn.
+    @pytest.mark.parametrize("position", range(12))
+    def test_same_chains_partial_outcome_in_any_schedule(self, position):
+        assert_same_partial_outcome(lambda backend: run_chain_baseline("q", CHAINS, backend),
+                                    position)
+
+
+def baseline_key(request: GenerationRequest) -> tuple:
+    """A baseline call's key: its depth and the texts of its prior path (a
+    leaf's elicitation is one layer below the leaf)."""
+    return len(request.prior_steps) + 1, request.prior_steps
+
+
+def assert_same_partial_outcome(run, position: int) -> None:
+    """``run(backend)`` failing the serial run's call at ``position`` gives one
+    outcome at width 1 and at width 4: the calls at keys before its key."""
+    reference = KeyedBackend(1)
+    run(reference)
+    fail_on = reference.calls[position]
+    serial = run(KeyedBackend(1, fail_on=fail_on))
+    assert serial.error == f"injected failure on call {fail_on[1]}"
+    # Every call at a key before the failing call's key, and only those, was committed.
+    failed_key = baseline_key(fail_on[0])
+    before = sum(baseline_key(request) < failed_key for request, _ in reference.calls)
+    assert serial.steps_generated + serial.conclusion_calls == before
+    for seed in range(3):
+        backend = KeyedBackend(4, fail_on=fail_on, seed=seed)
+        assert vars(run(backend)) == vars(serial)
+        assert worker_threads() == []
+
+
+class SiblingGateBackend(KeyedBackend):
+    """Holds each call of a request with ``gated`` prior steps until
+    ``together`` calls of that request are in flight, and fails it if they
+    are not in ``GATE_TIMEOUT_S``; ``peaks`` is each request's most calls in
+    flight at once. The width must fit every group that can be in flight at
+    once, else partly started groups could fill it and wait on each other."""
+
+    def __init__(self, gated: int, together: int, max_in_flight: int = 4):
+        super().__init__(max_in_flight)
+        self.gated, self.together = gated, together
+        self.peaks: Counter = Counter()
+        self._flying: Counter = Counter()
+        self._flown = threading.Condition(self._lock)
+
+    def generate_step(self, request: GenerationRequest):
+        if len(request.prior_steps) != self.gated or request.task.startswith("Task:"):
+            return super().generate_step(request)
+        with self._flown:
+            self._flying[request] += 1
+            self.peaks[request] = max(self.peaks[request], self._flying[request])
+            self._flown.notify_all()
+            together = self._flown.wait_for(
+                lambda: self.peaks[request] >= self.together, GATE_TIMEOUT_S)
+        try:
+            if not together:
+                raise BackendError("identical calls at one key went out one at a time")
+            return super().generate_step(request)
+        finally:
+            with self._flown:
+                self._flying[request] -= 1
+
+
+class TestIdenticalCallsOverlap:
+    """The identical calls at one key leave together."""
+
+    # The root's children at width 4; the grandchildren, three groups of three
+    # that can all be in flight, at width 9.
+    @pytest.mark.parametrize("gated, width", [(1, 4), (2, 9)])
+    def test_tree_children(self, gated, width):
+        backend = SiblingGateBackend(gated, together=TREE.branching, max_in_flight=width)
+        outcome = run_tree_baseline("what is 2 + 2?", TREE, backend)
+        assert vars(outcome) == vars(run_tree_baseline("what is 2 + 2?", TREE, KeyedBackend(1)))
+        assert min(backend.peaks.values()) >= TREE.branching
+        assert len(backend.peaks) == TREE.branching ** (gated - 1)
+        assert worker_threads() == []
+
+    def test_chains_first_steps(self):
+        backend = SiblingGateBackend(0, together=CHAINS.chains)
+        outcome = run_chain_baseline("what is 2 + 2?", CHAINS, backend)
+        assert vars(outcome) == vars(run_chain_baseline("what is 2 + 2?", CHAINS, KeyedBackend(1)))
+        assert list(backend.peaks.values()) == [CHAINS.chains]
+        assert worker_threads() == []
 
 
 class GatedBackend(KeyedBackend):
@@ -280,23 +356,24 @@ def call_label(call) -> str:
     return f"{kind}{len(request.prior_steps)} {last}#{occurrence}"
 
 
-# Serial call sequences recorded when every baseline ran layer by layer
-# (tree) or step by step (chains) through generate_all.
+# Serial call sequences: a baseline calls in key order, (depth, prior path
+# texts), so layer by layer and in path text order within a layer, with a
+# node's identical children in a row.
 SERIAL_TREE_CALLS = [
     "s0 -#0",
     "s1 c41693dc#0", "s1 c41693dc#1", "s1 c41693dc#2",
-    "s2 e01ecd92#0", "s2 e01ecd92#1", "s2 e01ecd92#2",
     "s2 524b0ac2#0", "s2 524b0ac2#1", "s2 524b0ac2#2",
     "s2 b5490d72#0", "s2 b5490d72#1", "s2 b5490d72#2",
-    "c3 4af43e2e#0", "c3 ebe87919#0", "c3 8813da7a#0", "c3 53368fd6#0",
-    "c3 9aa3c691#0", "c3 bf086637#0", "c3 acac9bc2#0", "c3 aae1c24c#0",
-    "c3 e87bdb7b#0",
+    "s2 e01ecd92#0", "s2 e01ecd92#1", "s2 e01ecd92#2",
+    "c3 53368fd6#0", "c3 9aa3c691#0", "c3 bf086637#0", "c3 aae1c24c#0",
+    "c3 acac9bc2#0", "c3 e87bdb7b#0", "c3 4af43e2e#0", "c3 8813da7a#0",
+    "c3 ebe87919#0",
 ]
 SERIAL_COTSC_CALLS = [
     "s0 -#0", "s0 -#1", "s0 -#2",
-    "s1 c41693dc#0", "s1 0bfaf59c#0", "s1 6c148c34#0",
-    "s2 e01ecd92#0", "s2 4cc6c1bb#0", "s2 e2bde9e7#0",
-    "c3 4af43e2e#0", "c3 298a632c#0", "c3 5920ef2e#0",
+    "s1 0bfaf59c#0", "s1 6c148c34#0", "s1 c41693dc#0",
+    "s2 4cc6c1bb#0", "s2 e2bde9e7#0", "s2 e01ecd92#0",
+    "c3 298a632c#0", "c3 5920ef2e#0", "c3 4af43e2e#0",
 ]
 
 
@@ -306,7 +383,7 @@ class TestSerialCallOrder:
         outcome = run_tree_baseline("what is 2 + 2?", TREE, backend)
         assert [call_label(call) for call in backend.calls] == SERIAL_TREE_CALLS
         assert vars(outcome) == {
-            "answers": ["2", "1", "2", "3", "3", "2", "3", "2", "3"],
+            "answers": ["3", "3", "2", "2", "3", "3", "2", "2", "1"],
             "steps_generated": 13,
             "conclusion_calls": 9,
             "chains": 1,
@@ -320,7 +397,7 @@ class TestSerialCallOrder:
         )
         assert [call_label(call) for call in backend.calls] == SERIAL_COTSC_CALLS
         assert vars(outcome) == {
-            "answers": ["2", "3", "2"], "steps_generated": 9, "conclusion_calls": 3,
+            "answers": ["3", "2", "2"], "steps_generated": 9, "conclusion_calls": 3,
             "chains": 3, "error": None,
         }
 
